@@ -9,17 +9,13 @@ a whole execution can be snapshotted and restored.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
 from typing import Callable, Iterator
 
-from .ltlf import (
-    Formula, StateVector, compile_prop, format_formula, formula_from_json,
-    formula_to_json,
-)
+from .ltlf import Formula, StateVector, compile_prop, format_formula, formula_to_json
 from .mission import ACTION_PREFIX
 
 
@@ -46,9 +42,6 @@ class UnboundAction(BtError):
 
 class ConcurrentActionConflict(BtError):
     """Two action nodes tried to drive the environment in one tick."""
-
-
-_ids = itertools.count()
 
 
 class Blackboard:
@@ -99,10 +92,12 @@ class TickContext:
 # Nodes
 
 class BtNode:
+    """Tree node; ``id`` keys its memory and is 0 until ``assign_ids``."""
+
     kind = "node"
 
     def __init__(self):
-        self.id = next(_ids)
+        self.id = 0
 
     def tick(self, ctx: TickContext) -> Status:
         raise NotImplementedError
@@ -200,25 +195,6 @@ class Action(BtNode):
         if self.runner is None:
             raise UnboundAction(self.binding)
         return self._record(self.runner.tick(ctx, self.id), ctx)
-
-
-class Negation(BtNode):
-    kind = "negation"
-
-    def __init__(self, child: BtNode):
-        super().__init__()
-        self.child = child
-
-    def children_nodes(self):
-        return [self.child]
-
-    def tick(self, ctx):
-        status = self.child.tick(ctx)
-        if status is SUCCESS:
-            status = FAILURE
-        elif status is FAILURE:
-            status = SUCCESS
-        return self._record(status, ctx)
 
 
 class PreconditionLatch(BtNode):
@@ -373,15 +349,13 @@ class MissionRunner:
     the bound runners' postconditions before the tree sees it.
     """
 
-    def __init__(self, tree: BtNode, rng: Random | None = None,
-                 record_statuses: bool = False):
+    def __init__(self, tree: BtNode, rng: Random | None = None):
         self.tree = tree
         self.rng = rng if rng is not None else Random(0)
         self.blackboard = Blackboard()
         self.t = 0
         self.trace_states: list[StateVector] = []
         self.log = EpisodeLog()
-        self.record_statuses = record_statuses
         self.pending: tuple[str, object] | None = None
         self._action_props: list[tuple[str, Callable[[StateVector], bool]]] = []
         seen = set()
@@ -401,8 +375,7 @@ class MissionRunner:
     def tick_once(self, env_state: StateVector) -> Status:
         state = self.augment(env_state)
         self.trace_states.append(state)
-        statuses = {} if self.record_statuses else None
-        ctx = TickContext(state, self.t, self.blackboard, self.rng, statuses)
+        ctx = TickContext(state, self.t, self.blackboard, self.rng)
         status = self.tree.tick(ctx)
         self.pending = ctx.pending
         for nid in ctx.resets:
@@ -412,8 +385,6 @@ class MissionRunner:
             "status": status.value,
             "action": list(ctx.pending) if ctx.pending else None,
             "resets": list(ctx.resets),
-            **({"statuses": {k: v.value for k, v in statuses.items()}}
-               if statuses is not None else {}),
         })
         self.t += 1
         return status
@@ -436,9 +407,7 @@ class MissionRunner:
 
 
 def run_to_completion(tree: BtNode, env, max_trace: int,
-                      rng: Random | None = None,
-                      record_statuses: bool = False,
-                      runner: MissionRunner | None = None):
+                      rng: Random | None = None):
     """Run the tree against an environment until it halts.
 
     Per tick: read the environment state, record it on the trace, tick
@@ -449,8 +418,7 @@ def run_to_completion(tree: BtNode, env, max_trace: int,
 
     Returns (status, trace_states, episode_log).
     """
-    if runner is None:
-        runner = MissionRunner(tree, rng=rng, record_statuses=record_statuses)
+    runner = MissionRunner(tree, rng=rng)
     while True:
         status = runner.tick_once(env.propositions())
         if status is not RUNNING:
@@ -465,23 +433,6 @@ def run_to_completion(tree: BtNode, env, max_trace: int,
 # ---------------------------------------------------------------------------
 # Structure helpers, DOT and JSON export
 
-def structurally_equal(a: BtNode, b: BtNode) -> bool:
-    """Equality up to node ids and bound runners."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Condition):
-        return a.prop == b.prop
-    if isinstance(a, Action):
-        return a.binding == b.binding
-    if isinstance(a, FinallyReset) and a.theta != b.theta:
-        return False
-    if isinstance(a, MissionRoot) and a.t_task_max != b.t_task_max:
-        return False
-    ca, cb = a.children_nodes(), b.children_nodes()
-    return len(ca) == len(cb) and all(
-        structurally_equal(x, y) for x, y in zip(ca, cb))
-
-
 def node_count(tree: BtNode) -> int:
     return sum(1 for _ in iter_nodes(tree))
 
@@ -490,7 +441,6 @@ _DOT_SYMBOLS = {
     "sequence": "→",          # ->
     "selector": "?",
     "parallel": "⇉",          # =>=>
-    "negation": "◇ !",
     "precondition_latch": "◇ latch",
     "finally_reset": "◇ F",
     "mission_root": "◇ root",
@@ -539,31 +489,3 @@ def bt_to_json(tree: BtNode) -> dict:
         data["children"] = [bt_to_json(c) for c in children]
     return data
 
-
-def bt_from_json(data: dict) -> BtNode:
-    kind = data["kind"]
-    children = [bt_from_json(c) for c in data.get("children", [])]
-    if kind == "condition":
-        node = Condition(formula_from_json(data["prop"]))
-    elif kind == "action":
-        node = Action(data["binding"])
-    elif kind == "sequence":
-        node = Sequence(children)
-    elif kind == "selector":
-        node = Selector(children)
-    elif kind == "parallel":
-        node = Parallel(children)
-    elif kind == "negation":
-        node = Negation(children[0])
-    elif kind == "precondition_latch":
-        node = PreconditionLatch(children[0])
-    elif kind == "finally_reset":
-        node = FinallyReset(children[0], data["theta"])
-    elif kind == "mission_root":
-        node = MissionRoot(children[0], data["t_task_max"])
-    elif kind == "task_boundary":
-        node = TaskBoundary(children[0])
-    else:
-        raise ValueError(f"unknown node kind {kind!r}")
-    node.id = data["id"]
-    return node

@@ -16,17 +16,16 @@ from . import gridworld as gw
 from .bt import bt_to_json, export_dot
 from .compiler import compile_mission
 from .keydoor import run_experiment
-from .ltlf import ParseError, UnknownAtom, format_formula, formula_to_json, tokenize
+from .ltlf import LtlfError, format_formula, formula_to_json, tokenize
 from .mission import (
-    DuplicateTaskName, MissionConfig, TASK_FIELDS, expand_mission,
-    mission_to_json, parse_mission,
+    MissionConfig, MissionError, TASK_FIELDS, expand_mission, parse_mission,
 )
 from .missions import C2H_TEXT
 from .planners import (
     LearnerConfig, Policy, SoundnessViolation, evaluate_policy, learn,
     plan_grid_policies,
 )
-from .verify import check_mission, fuzz_corpus_report
+from .verify import BoundTooLarge, check_mission, fuzz_corpus_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,7 +101,7 @@ def cmd_parse(args) -> int:
     expr, alphabet = _load_mission(args)
     formula = expand_mission(expr)
     _write_json({
-        "mission": mission_to_json(expr),
+        "mission": formula_to_json(expr),
         "alphabet": sorted(alphabet),
         "formula": format_formula(formula),
         "formula_json": formula_to_json(formula),
@@ -337,7 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, UnknownAtom, DuplicateTaskName, FileNotFoundError,
+    except (LtlfError, MissionError, BoundTooLarge, FileNotFoundError,
             json.JSONDecodeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -80,19 +80,19 @@ def compile_task(spec: ms.PpaTaskSpec, cfg: ms.MissionConfig) -> BtNode:
     return assign_ids(tree)
 
 
+_CONTROL = {ms.Or: Selector, ms.And: Parallel, ms.Until: Sequence}
+
+
 def compile_mission(expr: ms.MissionExpr, cfg: ms.MissionConfig) -> BtNode:
     def build(e: ms.MissionExpr) -> BtNode:
         if isinstance(e, ms.Task):
             return TaskBoundary(compile_task(e.spec, cfg))
-        if isinstance(e, ms.Or):
-            return Selector([build(e.left), build(e.right)])
-        if isinstance(e, ms.And):
-            return Parallel([build(e.left), build(e.right)])
-        if isinstance(e, ms.Until):
-            return Sequence([build(e.left), build(e.right)])
         if isinstance(e, ms.Finally):
             return FinallyReset(build(e.child), cfg.theta)
-        raise TypeError(f"not a mission expression: {e!r}")
+        control = _CONTROL.get(type(e))
+        if control is None:
+            raise TypeError(f"not a mission expression: {e!r}")
+        return control([build(e.left), build(e.right)])
 
     return assign_ids(MissionRoot(build(expr), cfg.t_task_max))
 

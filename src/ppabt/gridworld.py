@@ -14,7 +14,6 @@ absorbing, which is the default planner model.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from random import Random
 
@@ -66,25 +65,6 @@ class GridConfig:
     def cell_index(self, cell: Cell) -> int:
         j, k = cell
         return (k - 1) * self.width + (j - 1)
-
-    def to_json(self) -> dict:
-        return {
-            "width": self.width, "height": self.height,
-            "cheese_cell": list(self.cheese_cell), "fire_cell": list(self.fire_cell),
-            "home_cell": list(self.home_cell), "start_cell": list(self.start_cell),
-            "p_in": self.p_in, "r_other": self.r_other, "r_good": self.r_good,
-            "r_fire": self.r_fire, "seed": self.seed,
-            "mdp_fire_absorbing": self.mdp_fire_absorbing,
-            "mdp_goal_absorbing": self.mdp_goal_absorbing,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GridConfig":
-        kwargs = dict(data)
-        for key in ("cheese_cell", "fire_cell", "home_cell", "start_cell"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
 
 
 @dataclass
@@ -148,30 +128,21 @@ class GridEnv:
     """Environment adapter for the behavior-tree run loop."""
 
     def __init__(self, cfg: GridConfig, rng: Random | None = None,
-                 start_cell: Cell | None = None, record: bool = False):
+                 start_cell: Cell | None = None):
         self.cfg = cfg
         self.rng = rng if rng is not None else Random(cfg.seed)
         cell = start_cell if start_cell is not None else cfg.start_cell
         self.state = GridState(cell, has_cheese=cell == cfg.cheese_cell)
         self.alphabet = grid_alphabet(cfg)
-        self.record = record
-        self.history: list[dict] = []
 
     def propositions(self) -> dict[str, bool]:
         return propositions(self.state, self.cfg)
 
     def apply(self, action) -> None:
         if action is None:
-            if self.record:
-                self.history.append({"cell": self.state.mouse_cell, "action": None,
-                                     "realized": None, "after": self.state})
             return
         idx = ACTIONS.index(action) if isinstance(action, str) else int(action)
-        before = self.state.mouse_cell
-        self.state, direction = step(self.state, idx, self.cfg, self.rng)
-        if self.record:
-            self.history.append({"cell": before, "action": ACTIONS[idx],
-                                 "realized": ACTIONS[direction], "after": self.state})
+        self.state, _ = step(self.state, idx, self.cfg, self.rng)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +192,3 @@ def build_phase_mdp(cfg: GridConfig, phase: str) -> tuple[np.ndarray, np.ndarray
         r[s, :] = 0.0
     return P, r
 
-
-def trajectory_csv_rows(env: GridEnv, cfg: GridConfig, phase: str) -> list[list]:
-    """Rows (tick, cell, action, realized, reward, propositions) for dumps."""
-    rows = []
-    for t, rec in enumerate(env.history):
-        after = rec["after"]
-        props = propositions(after, cfg)
-        rows.append([t, f"{rec['cell'][0]},{rec['cell'][1]}", rec["action"],
-                     rec["realized"], reward(after, cfg, phase),
-                     json.dumps(props, sort_keys=True)])
-    return rows

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import bt
 from .compiler import ActionRunner, bind_actions, compile_mission
 from .ltlf import Trace, evaluate
-from .mission import MissionConfig, expand_mission, mission_alphabet
+from .mission import MissionConfig, expand_mission, mission_alphabet, tasks_of
 from .missions import KEYDOOR_ATOMS, build_keydoor
 
 STAGES = ("key", "door", "prize")
@@ -138,7 +138,7 @@ def run_bt_trial(script: ScenarioScript, audit: bool = True) -> dict:
                         alphabet=KEYDOOR_ATOMS)
     tree = compile_mission(expr, cfg)
     runners = {}
-    for task in _task_specs(expr):
+    for task in tasks_of(expr):
         def choose(state, mem, rng, _stage=task.action):
             return _stage
         runners[task.action] = ActionRunner(task.action, task.poc,
@@ -156,11 +156,6 @@ def run_bt_trial(script: ScenarioScript, audit: bool = True) -> dict:
     return {"mode": "bt", "success": success, "ticks": len(trace_states),
             "failed_stage": None if success else _failed_stage(world),
             "resets": log.total_resets(), "sound": sound}
-
-
-def _task_specs(expr):
-    from .mission import tasks_of
-    return tasks_of(expr)
 
 
 def _failed_stage(world: KeyDoorWorld) -> str:

@@ -6,6 +6,11 @@ Formulas are immutable trees built from atoms and the operators
 unless they are atoms; unary operators may chain (``F ! a``) or take a
 parenthesized operand (``F (& a b)``).
 
+The ``| & U`` prefix ladder (``parse_binary``) is shared with the
+mission language, whose leaves are ``task(...)`` literals instead of
+atoms.  Every parser built on ``_Cursor`` refuses input nested deeper
+than ``MAX_NESTING`` levels with a ParseError.
+
 Evaluation is over finite traces of proposition valuations.  ``True``
 and ``False`` are reserved atoms with constant value.
 """
@@ -56,6 +61,12 @@ class Formula:
 class Atom(Formula):
     name: str
 
+    def __str__(self) -> str:
+        return self.name
+
+    def to_json(self) -> dict:
+        return {"op": "atom", "name": self.name}
+
 
 @dataclass(frozen=True)
 class Not(Formula):
@@ -98,31 +109,42 @@ class Globally(Formula):
 TRUE = Atom("True")
 FALSE = Atom("False")
 
+# Every other Formula class is a leaf that renders itself through
+# ``__str__`` and ``to_json``: Atom here, Task in the mission language.
 _UNARY = {Not: "!", Next: "X", Finally: "F", Globally: "G"}
-_BINARY = {Or: "|", And: "&", Until: "U"}
+_BINARY = {Or: "|", And: "&", Until: "U"}  # loosest binding first
 TEMPORAL_OPS = (Next, Until, Finally, Globally)
+
+
+def subformulas(formula: Formula) -> Iterator[Formula]:
+    """Every subformula in preorder, left operand before right."""
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        yield f
+        if type(f) in _UNARY:
+            stack.append(f.child)
+        elif type(f) in _BINARY:
+            stack += (f.right, f.left)
 
 
 def atoms_of(formula: Formula) -> set[str]:
     """All atom names occurring in the formula, reserved constants included."""
-    if isinstance(formula, Atom):
-        return {formula.name}
-    if isinstance(formula, (Not, Next, Finally, Globally)):
-        return atoms_of(formula.child)
-    return atoms_of(formula.left) | atoms_of(formula.right)
-
-
-def subformulas(formula: Formula) -> Iterator[Formula]:
-    yield formula
-    if isinstance(formula, (Not, Next, Finally, Globally)):
-        yield from subformulas(formula.child)
-    elif isinstance(formula, (And, Or, Until)):
-        yield from subformulas(formula.left)
-        yield from subformulas(formula.right)
+    return {f.name for f in subformulas(formula) if isinstance(f, Atom)}
 
 
 def is_propositional(formula: Formula) -> bool:
     return not any(isinstance(f, TEMPORAL_OPS) for f in subformulas(formula))
+
+
+def map_leaves(formula: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """The formula with every leaf ``f`` replaced by ``fn(f)``."""
+    cls = type(formula)
+    if cls in _UNARY:
+        return cls(map_leaves(formula.child, fn))
+    if cls in _BINARY:
+        return cls(map_leaves(formula.left, fn), map_leaves(formula.right, fn))
+    return fn(formula)
 
 
 # ---------------------------------------------------------------------------
@@ -130,24 +152,18 @@ def is_propositional(formula: Formula) -> bool:
 
 @dataclass
 class Trace:
-    """Finite sequence of total proposition valuations.
+    """Finite, non-empty sequence of total proposition valuations.
 
     Every state must assign exactly the declared alphabet.  ``True`` and
-    ``False`` are implicit and need not appear.  Empty traces are
-    rejected, as are traces longer than ``max_len``.
+    ``False`` are implicit and need not appear.
     """
 
     states: list[StateVector]
     alphabet: frozenset[str]
-    max_len: int = 0
 
     def __post_init__(self):
-        if self.max_len <= 0:
-            self.max_len = len(self.states)
         if not self.states:
             raise ValueError("empty trace")
-        if len(self.states) > self.max_len:
-            raise ValueError(f"trace length {len(self.states)} exceeds bound {self.max_len}")
         for i, state in enumerate(self.states):
             if set(state) != self.alphabet:
                 missing = self.alphabet - set(state)
@@ -163,18 +179,14 @@ def evaluate(formula: Formula, trace: Trace, index: int = 0) -> bool:
     """Truth of the formula on the trace suffix starting at ``index``.
 
     Temporal operators quantify over the realized trace positions
-    ``index .. len(trace)-1``.  Recursion is memoized on
-    (subformula identity, position), giving O(|formula| * |trace|).
+    ``index .. len(trace)-1``; ``X`` is strong, false at the last one.
+    Recursion is memoized on (subformula identity, position), giving
+    O(|formula| * |trace|).
     """
     if not 0 <= index < len(trace):
         raise TraceIndexError(f"index {index} outside trace of length {len(trace)}")
     memo: dict[tuple[int, int], bool] = {}
     return _eval(formula, trace, index, memo)
-
-
-def next_beyond_trace() -> bool:
-    """Truth of X(psi) at the final position: strong-next convention."""
-    return False
 
 
 def _eval(f: Formula, trace: Trace, i: int, memo: dict) -> bool:
@@ -200,7 +212,7 @@ def _eval(f: Formula, trace: Trace, i: int, memo: dict) -> bool:
     elif isinstance(f, Or):
         value = _eval(f.left, trace, i, memo) or _eval(f.right, trace, i, memo)
     elif isinstance(f, Next):
-        value = _eval(f.child, trace, i + 1, memo) if i < last else next_beyond_trace()
+        value = i < last and _eval(f.child, trace, i + 1, memo)
     elif isinstance(f, Until):
         # rhs now, or lhs now and Until from the next position
         if _eval(f.right, trace, i, memo):
@@ -223,26 +235,6 @@ def _eval(f: Formula, trace: Trace, i: int, memo: dict) -> bool:
         raise TypeError(f"not a formula: {f!r}")
     memo[key] = value
     return value
-
-
-def eval_prop(formula: Formula, state: StateVector) -> bool:
-    """Evaluate a propositional (temporal-free) formula on a single state."""
-    if isinstance(formula, Atom):
-        if formula.name == "True":
-            return True
-        if formula.name == "False":
-            return False
-        try:
-            return state[formula.name]
-        except KeyError:
-            raise UnknownAtom(formula.name) from None
-    if isinstance(formula, Not):
-        return not eval_prop(formula.child, state)
-    if isinstance(formula, And):
-        return eval_prop(formula.left, state) and eval_prop(formula.right, state)
-    if isinstance(formula, Or):
-        return eval_prop(formula.left, state) or eval_prop(formula.right, state)
-    raise ValueError(f"temporal operator in propositional context: {formula}")
 
 
 def compile_prop(formula: Formula) -> Callable[[StateVector], bool]:
@@ -277,6 +269,16 @@ _TOKEN_RE = re.compile(r"""
 
 RESERVED_WORDS = frozenset({"U", "F", "G", "X"})
 
+# Deepest nesting any parser accepts: at most this many operators, and
+# at most this many open parentheses, may enclose any point of the input.
+# The operator count bounds the depth of the tree built, so the canonical
+# text of any parsed formula, which parenthesizes every operand that is
+# not a leaf, parses again.  Parsing costs at most 1 Python frame per
+# operator and 4 per parenthesis, and printing, expansion, compilation
+# and evaluation at most 2 per level of the tree, so input at the limit
+# stays well inside the interpreter's default recursion limit.
+MAX_NESTING = 100
+
 
 @dataclass
 class Token:
@@ -304,9 +306,13 @@ def tokenize(text: str) -> list[Token]:
 
 
 class _Cursor:
+    """Token stream position plus the operators and parentheses open there."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
+        self.parens = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -322,6 +328,63 @@ class _Cursor:
             raise ParseError(f"unexpected {tok.text!r}", tok.pos, expected=repr(text))
         return tok
 
+    def enter(self, tok: Token) -> None:
+        """Open the operator or ``(`` at ``tok``; past MAX_NESTING it is an error."""
+        if tok.text == "(":
+            self.parens += 1
+            count, what = self.parens, "parentheses"
+        else:
+            self.depth += 1
+            count, what = self.depth, "operators"
+        if count > MAX_NESTING:
+            raise ParseError(f"more than {MAX_NESTING} nested {what}", tok.pos)
+
+
+def parse_text(text: str, parse: Callable[[_Cursor], Formula]) -> Formula:
+    """Run ``parse`` over the tokens of ``text``, which it must consume whole."""
+    cur = _Cursor(tokenize(text))
+    result = parse(cur)
+    end = cur.peek()
+    if end.kind != "end":
+        raise ParseError(f"trailing input {end.text!r}", end.pos)
+    return result
+
+
+_LADDER = tuple((symbol, cls) for cls, symbol in _BINARY.items())
+
+
+def parse_binary(cur: _Cursor, leaf: Callable[[_Cursor], Formula],
+                 level: int = 0) -> Formula:
+    """The ``| & U`` prefix ladder, loosest first, over ``leaf`` operands.
+
+    In ``op left right`` the left operand re-enters the operator's own
+    level (binary operators are left associative) and the right operand
+    the next tighter one; below ``U`` the leaf parser takes over.
+    """
+    tok = cur.peek()
+    while level < len(_LADDER) and tok.text != _LADDER[level][0]:
+        level += 1
+    if level == len(_LADDER):
+        return leaf(cur)
+    cur.take()
+    cur.enter(tok)
+    left = parse_binary(cur, leaf, level)
+    right = parse_binary(cur, leaf, level + 1)
+    cur.depth -= 1
+    return _LADDER[level][1](left, right)
+
+
+def parse_group(cur: _Cursor, leaf: Callable[[_Cursor], Formula]) -> Formula:
+    """``( ... )`` around a whole ladder expression, the cursor at ``(``."""
+    cur.enter(cur.take())
+    inner = parse_binary(cur, leaf)
+    cur.expect(")")
+    cur.parens -= 1
+    return inner
+
+
+_PREFIX_UNARY = {symbol: cls for cls, symbol in _UNARY.items()}
+
 
 def parse_ltlf(text: str, alphabet: set[str] | frozenset[str]) -> Formula:
     """Parse prefix-syntax LTLf text into a Formula.
@@ -332,105 +395,51 @@ def parse_ltlf(text: str, alphabet: set[str] | frozenset[str]) -> Formula:
     Atoms outside ``alphabet`` raise UnknownAtom; ``True``/``False``
     are always admitted.
     """
-    cur = _Cursor(tokenize(text))
-    formula = _parse_or(cur, frozenset(alphabet))
-    end = cur.peek()
-    if end.kind != "end":
-        raise ParseError(f"trailing input {end.text!r}", end.pos)
-    return formula
+    alphabet = frozenset(alphabet)
 
-
-def _parse_or(cur: _Cursor, alphabet: frozenset[str]) -> Formula:
-    if cur.peek().text == "|":
+    def leaf(cur: _Cursor) -> Formula:
+        tok = cur.peek()
+        if tok.text == "(":
+            return parse_group(cur, leaf)
         cur.take()
-        left = _parse_or(cur, alphabet)
-        right = _parse_and(cur, alphabet)
-        return Or(left, right)
-    return _parse_and(cur, alphabet)
+        if tok.text in _PREFIX_UNARY:
+            cur.enter(tok)
+            child = leaf(cur)
+            cur.depth -= 1
+            return _PREFIX_UNARY[tok.text](child)
+        if tok.kind == "word":
+            if tok.text not in ("True", "False") and tok.text not in alphabet:
+                raise UnknownAtom(tok.text)
+            return Atom(tok.text)
+        raise ParseError(f"unexpected {tok.text!r}", tok.pos, expected="atom or '('")
 
-
-def _parse_and(cur: _Cursor, alphabet: frozenset[str]) -> Formula:
-    if cur.peek().text == "&":
-        cur.take()
-        left = _parse_and(cur, alphabet)
-        right = _parse_until(cur, alphabet)
-        return And(left, right)
-    return _parse_until(cur, alphabet)
-
-
-def _parse_until(cur: _Cursor, alphabet: frozenset[str]) -> Formula:
-    if cur.peek().text == "U":
-        cur.take()
-        left = _parse_until(cur, alphabet)
-        right = _parse_unary(cur, alphabet)
-        return Until(left, right)
-    return _parse_unary(cur, alphabet)
-
-
-def _parse_unary(cur: _Cursor, alphabet: frozenset[str]) -> Formula:
-    tok = cur.peek()
-    if tok.text in ("!", "X", "F", "G"):
-        cur.take()
-        child = _parse_unary(cur, alphabet)
-        return {"!": Not, "X": Next, "F": Finally, "G": Globally}[tok.text](child)
-    return _parse_leaf(cur, alphabet)
-
-
-def _parse_leaf(cur: _Cursor, alphabet: frozenset[str]) -> Formula:
-    tok = cur.take()
-    if tok.text == "(":
-        inner = _parse_or(cur, alphabet)
-        cur.expect(")")
-        return inner
-    if tok.kind == "word":
-        if tok.text not in ("True", "False") and tok.text not in alphabet:
-            raise UnknownAtom(tok.text)
-        return Atom(tok.text)
-    raise ParseError(f"unexpected {tok.text!r}", tok.pos, expected="atom or '('")
+    return parse_text(text, lambda cur: parse_binary(cur, leaf))
 
 
 def format_formula(formula: Formula) -> str:
-    """Canonical prefix text: every non-atomic operand is parenthesized."""
+    """Canonical prefix text: every operand that is not a leaf is parenthesized."""
     def wrap(f: Formula) -> str:
-        return f.name if isinstance(f, Atom) else f"({format_formula(f)})"
+        text = format_formula(f)
+        return f"({text})" if type(f) in _UNARY or type(f) in _BINARY else text
 
-    if isinstance(formula, Atom):
-        return formula.name
-    for cls, op in _UNARY.items():
-        if isinstance(formula, cls):
-            return f"{op} {wrap(formula.child)}"
-    for cls, op in _BINARY.items():
-        if isinstance(formula, cls):
-            return f"{op} {wrap(formula.left)} {wrap(formula.right)}"
-    raise TypeError(f"not a formula: {formula!r}")
+    cls = type(formula)
+    if cls in _UNARY:
+        return f"{_UNARY[cls]} {wrap(formula.child)}"
+    if cls in _BINARY:
+        return f"{_BINARY[cls]} {wrap(formula.left)} {wrap(formula.right)}"
+    return str(formula)
 
 
 # ---------------------------------------------------------------------------
 # JSON export
 
-_JSON_OPS = {Atom: "atom", Not: "not", And: "and", Or: "or",
-             Next: "next", Until: "until", Finally: "finally", Globally: "globally"}
-
-
 def formula_to_json(formula: Formula) -> dict:
-    if isinstance(formula, Atom):
-        return {"op": "atom", "name": formula.name}
-    op = _JSON_OPS[type(formula)]
-    if isinstance(formula, (Not, Next, Finally, Globally)):
-        return {"op": op, "child": formula_to_json(formula.child)}
-    return {"op": op,
-            "lhs": formula_to_json(formula.left),
-            "rhs": formula_to_json(formula.right)}
-
-
-def formula_from_json(data: dict) -> Formula:
-    op = data["op"]
-    if op == "atom":
-        return Atom(data["name"])
-    unary = {"not": Not, "next": Next, "finally": Finally, "globally": Globally}
-    if op in unary:
-        return unary[op](formula_from_json(data["child"]))
-    binary = {"and": And, "or": Or, "until": Until}
-    if op in binary:
-        return binary[op](formula_from_json(data["lhs"]), formula_from_json(data["rhs"]))
-    raise ValueError(f"unknown formula op {op!r}")
+    """Nested dicts; an operator's ``op`` is its class name in lower case."""
+    cls = type(formula)
+    if cls in _UNARY:
+        return {"op": cls.__name__.lower(), "child": formula_to_json(formula.child)}
+    if cls in _BINARY:
+        return {"op": cls.__name__.lower(),
+                "lhs": formula_to_json(formula.left),
+                "rhs": formula_to_json(formula.right)}
+    return formula.to_json()

@@ -6,9 +6,12 @@ and ``task(...)`` literals, ``#`` starts a comment::
     U (F task(cheese, post=Cheese, pre=True, gc=!Fire, tc=True, action=cheese))
       (F task(home,   post=Home,   pre=Cheese, gc=!Fire, tc=True, action=home))
 
-Precedence, loosest first: ``|``, ``&``, ``U``, ``F``; binary operators
-are left associative.  Task condition fields hold infix propositional
-expressions (``! & | ( )``).  Each task expands to the goal formula
+A mission is an LTLf formula whose leaves are ``Task`` literals: its
+operators are the ``ltlf`` nodes of the same name, parsed by the same
+prefix ladder.  Precedence, loosest first: ``|``, ``&``, ``U``, ``F``;
+binary operators are left associative.  Task condition fields hold
+infix propositional expressions (``! & | ( )``).  Each task expands to
+the goal formula
 
     (G gc & poc)  |  ((G gc & F pre) & (tc U (action & G gc)))
 
@@ -21,13 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ltlf
+# The mission operators are the LTLf nodes: ``mission.Until`` is ``ltlf.Until``.
 from .ltlf import (
-    Formula, ParseError, UnknownAtom, _Cursor, is_propositional, tokenize,
+    And, Finally, Formula, Or, ParseError, UnknownAtom, Until, _Cursor,
+    is_propositional, parse_binary, parse_group, parse_text,
 )
 
 ACTION_PREFIX = "__action_"
 
 TASK_FIELDS = ("post", "pre", "gc", "tc", "action")
+
+MissionExpr = Formula
 
 
 class MissionError(Exception):
@@ -75,36 +82,21 @@ class PpaTaskSpec:
 
 
 @dataclass(frozen=True)
-class MissionExpr:
-    pass
+class Task(Formula):
+    """Leaf of a mission: one task literal."""
 
-
-@dataclass(frozen=True)
-class Task(MissionExpr):
     spec: PpaTaskSpec
 
+    def __str__(self) -> str:
+        s = self.spec
+        return (f"task({s.name}, post={render_prop(s.poc)}, pre={render_prop(s.prc)}, "
+                f"gc={render_prop(s.gc)}, tc={render_prop(s.tc)}, action={s.action})")
 
-@dataclass(frozen=True)
-class Or(MissionExpr):
-    left: MissionExpr
-    right: MissionExpr
-
-
-@dataclass(frozen=True)
-class And(MissionExpr):
-    left: MissionExpr
-    right: MissionExpr
-
-
-@dataclass(frozen=True)
-class Until(MissionExpr):
-    left: MissionExpr
-    right: MissionExpr
-
-
-@dataclass(frozen=True)
-class Finally(MissionExpr):
-    child: MissionExpr
+    def to_json(self) -> dict:
+        s = self.spec
+        return {"op": "task", "name": s.name, "post": render_prop(s.poc),
+                "pre": render_prop(s.prc), "gc": render_prop(s.gc),
+                "tc": render_prop(s.tc), "action": s.action}
 
 
 @dataclass
@@ -122,11 +114,8 @@ class MissionConfig:
 
 
 def tasks_of(expr: MissionExpr) -> list[PpaTaskSpec]:
-    if isinstance(expr, Task):
-        return [expr.spec]
-    if isinstance(expr, Finally):
-        return tasks_of(expr.child)
-    return tasks_of(expr.left) + tasks_of(expr.right)
+    """Task specs in the order their literals appear in the mission text."""
+    return [f.spec for f in ltlf.subformulas(expr) if isinstance(f, Task)]
 
 
 def mission_alphabet(expr: MissionExpr, base: frozenset[str]) -> frozenset[str]:
@@ -156,17 +145,9 @@ def expand_task(spec: PpaTaskSpec) -> Formula:
 
 
 def expand_mission(expr: MissionExpr) -> Formula:
-    if isinstance(expr, Task):
-        return expand_task(expr.spec)
-    if isinstance(expr, Or):
-        return ltlf.Or(expand_mission(expr.left), expand_mission(expr.right))
-    if isinstance(expr, And):
-        return ltlf.And(expand_mission(expr.left), expand_mission(expr.right))
-    if isinstance(expr, Until):
-        return ltlf.Until(expand_mission(expr.left), expand_mission(expr.right))
-    if isinstance(expr, Finally):
-        return ltlf.Finally(expand_mission(expr.child))
-    raise TypeError(f"not a mission expression: {expr!r}")
+    """The mission's goal formula: every task literal replaced by its expansion."""
+    return ltlf.map_leaves(
+        expr, lambda f: expand_task(f.spec) if isinstance(f, Task) else f)
 
 
 # ---------------------------------------------------------------------------
@@ -174,42 +155,43 @@ def expand_mission(expr: MissionExpr) -> Formula:
 
 def parse_prop(text: str, alphabet: set[str] | frozenset[str]) -> Formula:
     """Parse an infix propositional expression such as ``!a & (b | c)``."""
-    cur = _Cursor(tokenize(text))
-    formula = _parse_prop_or(cur, frozenset(alphabet))
-    end = cur.peek()
-    if end.kind != "end":
-        raise ParseError(f"trailing input {end.text!r}", end.pos)
-    return formula
+    alpha = frozenset(alphabet)
+    return parse_text(text, lambda cur: _parse_prop(cur, alpha))
 
 
-def _parse_prop_or(cur: _Cursor, alphabet: frozenset[str]) -> Formula:
-    left = _parse_prop_and(cur, alphabet)
-    while cur.peek().text == "|":
-        cur.take()
-        left = ltlf.Or(left, _parse_prop_and(cur, alphabet))
-    return left
+_INFIX = (("|", Or), ("&", And))
 
 
-def _parse_prop_and(cur: _Cursor, alphabet: frozenset[str]) -> Formula:
-    left = _parse_prop_not(cur, alphabet)
-    while cur.peek().text == "&":
-        cur.take()
-        left = ltlf.And(left, _parse_prop_not(cur, alphabet))
+def _parse_prop(cur: _Cursor, alphabet: frozenset[str], level: int = 0) -> Formula:
+    """``|`` over ``&`` over ``!``, atoms and ``( )``, binary operators
+    left associative.
+
+    Each operator counts as nested to the end of the condition, not just
+    over its operands: ``a & b & c`` nests as ``(a & b) & c``, so only the
+    total count bounds the depth of the tree a chain builds.
+    """
+    if level == len(_INFIX):
+        return _parse_prop_not(cur, alphabet)
+    op, cls = _INFIX[level]
+    left = _parse_prop(cur, alphabet, level + 1)
+    while cur.peek().text == op:
+        cur.enter(cur.take())
+        left = cls(left, _parse_prop(cur, alphabet, level + 1))
     return left
 
 
 def _parse_prop_not(cur: _Cursor, alphabet: frozenset[str]) -> Formula:
-    tok = cur.peek()
+    tok = cur.take()
     if tok.text == "!":
-        cur.take()
+        cur.enter(tok)
         return ltlf.Not(_parse_prop_not(cur, alphabet))
     if tok.text == "(":
-        cur.take()
-        inner = _parse_prop_or(cur, alphabet)
+        cur.enter(tok)
+        inner = _parse_prop(cur, alphabet)
         cur.expect(")")
+        cur.parens -= 1
         return inner
     if tok.kind == "word":
-        cur.take()
         if tok.text.startswith(ACTION_PREFIX):
             raise ReservedAtom(f"{tok.text} is reserved for action tracking")
         if tok.text not in ("True", "False") and tok.text not in alphabet:
@@ -255,73 +237,31 @@ def ppa_task(name: str, post: str, pre: str = "True", gc: str = "True",
 def parse_mission(text: str, alphabet: set[str] | frozenset[str]) -> MissionExpr:
     """Parse mission text into a MissionExpr tree.
 
-    Raises ParseError on malformed input, UnknownAtom for condition
-    atoms outside the alphabet, DuplicateTaskName if two task literals
-    share a name.
+    Raises ParseError on malformed input or nesting past
+    ``ltlf.MAX_NESTING``, UnknownAtom for condition atoms outside the
+    alphabet, DuplicateTaskName if two task literals share a name.
     """
-    cur = _Cursor(tokenize(text))
+    alpha = frozenset(alphabet)
     seen: set[str] = set()
-    expr = _parse_m_or(cur, frozenset(alphabet), seen)
-    end = cur.peek()
-    if end.kind != "end":
-        raise ParseError(f"trailing input {end.text!r}", end.pos)
-    return expr
 
+    def operand(cur: _Cursor, expected: str) -> MissionExpr:
+        tok = cur.peek()
+        if tok.text == "task":
+            return _parse_task_literal(cur, alpha, seen)
+        if tok.text == "(":
+            return parse_group(cur, leaf)
+        raise ParseError(f"unexpected {tok.text!r}", tok.pos, expected=expected)
 
-def _parse_m_or(cur, alphabet, seen) -> MissionExpr:
-    if cur.peek().text == "|":
-        cur.take()
-        left = _parse_m_or(cur, alphabet, seen)
-        right = _parse_m_and(cur, alphabet, seen)
-        return Or(left, right)
-    return _parse_m_and(cur, alphabet, seen)
+    def leaf(cur: _Cursor) -> MissionExpr:
+        tok = cur.peek()
+        if tok.text != "F":
+            return operand(cur, "'F', 'task(' or '('")
+        cur.enter(cur.take())
+        child = operand(cur, "'task(' or '('")
+        cur.depth -= 1
+        return Finally(child)
 
-
-def _parse_m_and(cur, alphabet, seen) -> MissionExpr:
-    if cur.peek().text == "&":
-        cur.take()
-        left = _parse_m_and(cur, alphabet, seen)
-        right = _parse_m_until(cur, alphabet, seen)
-        return And(left, right)
-    return _parse_m_until(cur, alphabet, seen)
-
-
-def _parse_m_until(cur, alphabet, seen) -> MissionExpr:
-    if cur.peek().text == "U":
-        cur.take()
-        left = _parse_m_until(cur, alphabet, seen)
-        right = _parse_m_leaf(cur, alphabet, seen)
-        return Until(left, right)
-    return _parse_m_leaf(cur, alphabet, seen)
-
-
-def _parse_m_leaf(cur, alphabet, seen) -> MissionExpr:
-    tok = cur.peek()
-    if tok.text == "F":
-        cur.take()
-        return Finally(_parse_m_operand(cur, alphabet, seen))
-    if tok.text == "task":
-        return _parse_task_literal(cur, alphabet, seen)
-    if tok.text == "(":
-        cur.take()
-        inner = _parse_m_or(cur, alphabet, seen)
-        cur.expect(")")
-        return inner
-    raise ParseError(f"unexpected {tok.text!r}", tok.pos,
-                     expected="'F', 'task(' or '('")
-
-
-def _parse_m_operand(cur, alphabet, seen) -> MissionExpr:
-    tok = cur.peek()
-    if tok.text == "task":
-        return _parse_task_literal(cur, alphabet, seen)
-    if tok.text == "(":
-        cur.take()
-        inner = _parse_m_or(cur, alphabet, seen)
-        cur.expect(")")
-        return inner
-    raise ParseError(f"unexpected {tok.text!r}", tok.pos,
-                     expected="'task(' or '('")
+    return parse_text(text, lambda cur: parse_binary(cur, leaf))
 
 
 def _parse_task_literal(cur, alphabet, seen) -> Task:
@@ -353,7 +293,11 @@ def _parse_task_literal(cur, alphabet, seen) -> Task:
                                  expected="action identifier")
             fields["action"] = val_tok.text
         else:
-            fields[key_tok.text] = _parse_field_prop(cur, alphabet)
+            # A field value stops at the comma or closing paren of the
+            # literal: the infix parser's own parentheses are balanced.
+            depth = cur.depth
+            fields[key_tok.text] = _parse_prop(cur, alphabet)
+            cur.depth = depth
     cur.expect(")")
 
     if "post" not in fields:
@@ -369,52 +313,5 @@ def _parse_task_literal(cur, alphabet, seen) -> Task:
     return Task(spec)
 
 
-def _parse_field_prop(cur, alphabet) -> Formula:
-    # Field values stop at the comma or closing paren of the task literal,
-    # so the infix parser runs on the cursor directly; its own parentheses
-    # are balanced and cannot consume the literal's closer.
-    return _parse_prop_or(cur, alphabet)
-
-
-# ---------------------------------------------------------------------------
-# Rendering and JSON
-
-def render_mission(expr: MissionExpr) -> str:
-    """Canonical mission text; parse_mission inverts it."""
-    def wrap(e: MissionExpr) -> str:
-        return render_mission(e) if isinstance(e, Task) else f"({render_mission(e)})"
-
-    if isinstance(expr, Task):
-        s = expr.spec
-        return (f"task({s.name}, post={render_prop(s.poc)}, pre={render_prop(s.prc)}, "
-                f"gc={render_prop(s.gc)}, tc={render_prop(s.tc)}, action={s.action})")
-    if isinstance(expr, Finally):
-        return f"F {wrap(expr.child)}"
-    op = {Or: "|", And: "&", Until: "U"}[type(expr)]
-    return f"{op} {wrap(expr.left)} {wrap(expr.right)}"
-
-
-def mission_to_json(expr: MissionExpr) -> dict:
-    if isinstance(expr, Task):
-        s = expr.spec
-        return {"op": "task", "name": s.name, "post": render_prop(s.poc),
-                "pre": render_prop(s.prc), "gc": render_prop(s.gc),
-                "tc": render_prop(s.tc), "action": s.action}
-    if isinstance(expr, Finally):
-        return {"op": "finally", "child": mission_to_json(expr.child)}
-    op = {Or: "or", And: "and", Until: "until"}[type(expr)]
-    return {"op": op,
-            "lhs": mission_to_json(expr.left),
-            "rhs": mission_to_json(expr.right)}
-
-
-def mission_from_json(data: dict, alphabet: frozenset[str]) -> MissionExpr:
-    op = data["op"]
-    if op == "task":
-        return Task(ppa_task(data["name"], data["post"], data["pre"], data["gc"],
-                             data["tc"], data["action"], alphabet))
-    if op == "finally":
-        return Finally(mission_from_json(data["child"], alphabet))
-    binary = {"or": Or, "and": And, "until": Until}
-    return binary[op](mission_from_json(data["lhs"], alphabet),
-                      mission_from_json(data["rhs"], alphabet))
+# Canonical mission text; parse_mission inverts it.
+render_mission = ltlf.format_formula

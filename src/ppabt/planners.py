@@ -22,10 +22,7 @@ import numpy as np
 from . import bt, gridworld as gw
 from .compiler import ActionRunner, bind_actions, compile_mission
 from .ltlf import Trace
-from .mission import (
-    Finally, MissionConfig, MissionExpr, Task, Until, expand_mission,
-    mission_alphabet,
-)
+from .mission import MissionConfig, MissionExpr, expand_mission, mission_alphabet, tasks_of
 from .verify import audit_trace
 
 PHASES = ("C", "H")
@@ -41,6 +38,10 @@ class NonStochasticKernel(PlannerError):
 
 class NoConvergence(PlannerError):
     pass
+
+
+class PhaseCountMismatch(PlannerError):
+    """The learner's mission must have one task per phase in PHASES."""
 
 
 # ---------------------------------------------------------------------------
@@ -153,32 +154,30 @@ def plan_grid_policies(cfg: gw.GridConfig, gamma: float = 0.9) -> Policy:
 class EpisodeRecord:
     """State-action pairs of one episode with the terminal feedback.
 
-    ``phase_split`` is the number of leading pairs that belong to the
-    cheese phase when that subtree succeeded, or None when it never did
-    (then the whole trace is cheese-phase with the mission's feedback).
+    ``phases`` holds the phase of the action that chose each pair; when
+    it is None every pair is phase C.  A phase followed by a later one
+    ended because its task succeeded, so its segment gets +1; the last
+    phase recorded gets the mission's feedback ``b``.
     """
 
     pairs: list[tuple[str, int]]
     b: int
-    phase_split: int | None = None
+    phases: list[str] | None = None
 
     def __post_init__(self):
         if self.b not in (1, -1):
             raise ValueError("b must be +1 or -1")
-        if self.phase_split is not None and self.phase_split > len(self.pairs):
-            raise ValueError("phase_split beyond the recorded pairs")
+        if self.phases is not None and len(self.phases) != len(self.pairs):
+            raise ValueError("one phase per recorded pair")
 
     def segments(self) -> list[tuple[str, list[tuple[str, int]], int]]:
-        if self.phase_split is None:
-            return [("C", self.pairs, self.b)]
-        head = self.pairs[:self.phase_split]
-        tail = self.pairs[self.phase_split:]
-        out = []
-        if head:
-            out.append(("C", head, 1))  # the cheese subtree itself succeeded
-        if tail:
-            out.append(("H", tail, self.b))
-        return out
+        phases = self.phases or ["C"] * len(self.pairs)
+        by_phase = {phase: [] for phase in PHASES}
+        for pair, phase in zip(self.pairs, phases):
+            by_phase[phase].append(pair)
+        ran = [phase for phase in PHASES if by_phase[phase]]
+        return [(phase, by_phase[phase], self.b if phase == ran[-1] else 1)
+                for phase in ran]
 
 
 def feedback_update(policy: Policy, record: EpisodeRecord, mu: float = 0.9,
@@ -233,26 +232,22 @@ class SoundnessViolation(PlannerError):
         self.trace_states = trace_states
 
 
-def _c2h_parts(expr: MissionExpr) -> tuple[Task, Task]:
-    if (isinstance(expr, Until)
-            and isinstance(expr.left, Finally) and isinstance(expr.right, Finally)
-            and isinstance(expr.left.child, Task) and isinstance(expr.right.child, Task)):
-        return expr.left.child, expr.right.child
-    raise ValueError("learner needs a two-phase mission: U (F task) (F task)")
-
-
 class C2hRuntime:
     """Compiled two-phase mission bound to a shared policy.
 
-    The first task's action samples from phase C, the second from phase
-    H; each sampled (state, action) pair is recorded for the end-of-
-    episode update.
+    The mission's tasks, in text order, take the phases in PHASES: the
+    first task's action samples from phase C, the second from phase H.
+    Each sampled (state, action) pair is recorded with its phase for the
+    end-of-episode update.
     """
 
     def __init__(self, expr: MissionExpr, grid_cfg: gw.GridConfig,
                  policy: Policy, max_trace: int, theta: int = 0,
                  sample_mode: str = "sample"):
-        first, second = _c2h_parts(expr)
+        specs = tasks_of(expr)
+        if len(specs) != len(PHASES):
+            raise PhaseCountMismatch(
+                f"learner needs one task per phase {PHASES}, got {len(specs)}")
         self.expr = expr
         self.grid_cfg = grid_cfg
         self.policy = policy
@@ -265,14 +260,9 @@ class C2hRuntime:
         self.tree = compile_mission(expr, mcfg)
         self._env_slot: dict = {"env": None}
         self.pairs: list[tuple[str, int, str]] = []
-        runners = {
-            first.spec.action: self._runner(first.spec, "C", mcfg),
-            second.spec.action: self._runner(second.spec, "H", mcfg),
-        }
+        runners = {spec.action: self._runner(spec, phase, mcfg)
+                   for spec, phase in zip(specs, PHASES)}
         bind_actions(self.tree, runners)
-        # the cheese-phase Finally decorator, for success detection
-        self._first_finally = self.tree.child.children[0]
-        assert isinstance(self._first_finally, bt.FinallyReset)
 
     def _runner(self, spec, phase: str, mcfg: MissionConfig) -> ActionRunner:
         policy = self.policy
@@ -296,20 +286,15 @@ class C2hRuntime:
         env = gw.GridEnv(self.grid_cfg, rng, start_cell=start_cell)
         self._env_slot["env"] = env
         self.pairs.clear()
-        runner = bt.MissionRunner(self.tree, rng=rng)
         status, trace_states, _ = bt.run_to_completion(
-            self.tree, env, self.max_trace, runner=runner)
-        cheese_mem = runner.blackboard.node_memory.get(self._first_finally.id, {})
+            self.tree, env, self.max_trace, rng=rng)
         b = 1 if status is bt.SUCCESS else -1
-        pairs = [(key, action) for key, action, _ in self.pairs]
-        split = None
-        if cheese_mem.get("succeeded"):
-            split = sum(1 for _, _, phase in self.pairs if phase == "C")
-        record = EpisodeRecord(pairs, b, split)
+        record = EpisodeRecord([(key, action) for key, action, _ in self.pairs], b,
+                               [phase for _, _, phase in self.pairs])
         return status, trace_states, record
 
     def audit(self, status: bt.Status, trace_states) -> bool:
-        trace = Trace(trace_states, self.alphabet, max_len=self.max_trace)
+        trace = Trace(trace_states, self.alphabet)
         return audit_trace(self.formula, trace, status)
 
 

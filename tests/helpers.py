@@ -2,6 +2,7 @@
 
 from ppabt import ltlf
 from ppabt.bt import BtNode, Status
+from ppabt.mission import Task, ppa_task
 
 
 def trace_of(alphabet, *rows):
@@ -9,6 +10,21 @@ def trace_of(alphabet, *rows):
     alphabet = frozenset(alphabet)
     states = [{name: bool(row.get(name, False)) for name in alphabet} for row in rows]
     return ltlf.Trace(states, alphabet)
+
+
+def formula_from_json(data, alphabet=frozenset()):
+    """Inverse of ltlf.formula_to_json, mission task leaves included."""
+    op = data["op"]
+    if op == "atom":
+        return ltlf.Atom(data["name"])
+    if op == "task":
+        return Task(ppa_task(data["name"], data["post"], data["pre"], data["gc"],
+                             data["tc"], data["action"], alphabet))
+    cls = getattr(ltlf, op.capitalize())
+    if "child" in data:
+        return cls(formula_from_json(data["child"], alphabet))
+    return cls(formula_from_json(data["lhs"], alphabet),
+               formula_from_json(data["rhs"], alphabet))
 
 
 class StaticEnv:

@@ -1,0 +1,57 @@
+"""The benchmark in perfbench/ reaches into ppabt by name; keep those names.
+
+``perfbench/spans.py`` patches ``(owner, attribute)`` pairs when it traces
+a run, and the other perfbench scripts call ppabt functions directly.  A
+refactor that renames or moves one of them fails here instead of only in
+the traced benchmark run.
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("spans")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_every_patched_name_resolves(spans):
+    for owner, attr, _ in spans.PATCHES:
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def ppabt_references(path):
+    """(module, name) for every ppabt name the script imports or looks up
+    as an attribute of an imported ppabt module."""
+    tree = ast.parse(path.read_text())
+    modules, refs = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ppabt"):
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module == "ppabt":
+                    modules[local] = f"ppabt.{alias.name}"
+                else:
+                    refs.append((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            refs.append((modules[node.value.id], node.attr))
+    return refs
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in PERFBENCH.glob("*.py")))
+def test_every_called_name_exists(script):
+    refs = ppabt_references(PERFBENCH / script)
+    for module, name in refs:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

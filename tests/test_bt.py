@@ -7,11 +7,10 @@ from helpers import StaticEnv, StubNode
 from ppabt import ltlf
 from ppabt.bt import (
     Action, Blackboard, Condition, ConcurrentActionConflict, FAILURE,
-    FinallyReset, MissionRoot, MissionRunner, Negation, Parallel,
-    PreconditionLatch, RUNNING, SUCCESS, Selector, Sequence, TaskBoundary,
-    TickContext, UnboundAction, assign_ids, bt_from_json, bt_to_json,
-    export_dot, iter_nodes, node_count, reset_descendant_decorators,
-    run_to_completion, structurally_equal,
+    FinallyReset, MissionRoot, MissionRunner, Parallel, PreconditionLatch,
+    RUNNING, SUCCESS, Selector, Sequence, TaskBoundary, TickContext,
+    UnboundAction, assign_ids, bt_to_json, export_dot, iter_nodes, node_count,
+    reset_descendant_decorators, run_to_completion,
 )
 from ppabt.compiler import ActionRunner, bind_actions, bind_scripted, compile_mission, compile_task
 from ppabt.mission import MissionConfig, parse_mission, ppa_task
@@ -92,11 +91,6 @@ class TestControlNodes:
 
 
 class TestDecorators:
-    def test_negation_swaps_and_passes_running(self):
-        assert tick_tree(Negation(StubNode([SUCCESS])), {})[0] is FAILURE
-        assert tick_tree(Negation(StubNode([FAILURE])), {})[0] is SUCCESS
-        assert tick_tree(Negation(StubNode([RUNNING])), {})[0] is RUNNING
-
     def test_precondition_latch_remembers_success(self):
         latch = PreconditionLatch(Condition(A("p")))
         assign_ids(latch)
@@ -310,14 +304,21 @@ class TestSerialization:
         assert dot.count("◯") == 6     # 3 gc checks + post + pre + tc
         assert dot.count("->") == node_count(tree) - 1
 
-    def test_json_roundtrip_preserves_structure_and_ids(self):
+    def test_json_carries_structure_and_preorder_ids(self):
         expr = parse_mission(
             "U (F task(a, post=Cheese, gc=!Fire)) (F task(b, post=Home, gc=!Fire))",
             GRID)
         tree = compile_mission(expr, MissionConfig(9, 1, frozenset(GRID)))
-        back = bt_from_json(bt_to_json(tree))
-        assert structurally_equal(tree, back)
-        assert [n.id for n in iter_nodes(back)] == [n.id for n in iter_nodes(tree)]
+
+        def preorder(data):
+            yield data
+            for child in data.get("children", []):
+                yield from preorder(child)
+
+        nodes = list(preorder(bt_to_json(tree)))
+        assert [d["kind"] for d in nodes] == [n.kind for n in iter_nodes(tree)]
+        assert [d["id"] for d in nodes] == list(range(node_count(tree)))
+        assert nodes[0]["t_task_max"] == 9 and nodes[1]["children"][0]["theta"] == 1
 
     def test_runner_snapshot_restore(self):
         tree = scripted_task_tree(theta=1)

@@ -11,6 +11,12 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def assert_single_error_line(capsys, fragment):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
 class TestParseCompile:
     def test_parse_builtin_c2h(self, capsys):
         assert main(["parse"]) == EXIT_OK
@@ -43,6 +49,18 @@ class TestParseCompile:
         tree = json.loads(out.read_text())
         assert tree["kind"] == "mission_root"
         assert "digraph" in dot.read_text()
+
+    def test_too_deep_mission_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.mission"
+        path.write_text("F (" * 1500 + "task(t, post=a)" + ")" * 1500 + "\n")
+        assert main(["parse", "--mission", str(path)]) == EXIT_USAGE
+        assert_single_error_line(capsys, "nested")
+
+    def test_reserved_atom_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "m.mission"
+        path.write_text("task(t, post=__action_x)\n")
+        assert main(["parse", "--mission", str(path)]) == EXIT_USAGE
+        assert_single_error_line(capsys, "reserved")
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -125,6 +143,14 @@ class TestVerifyKeydoor:
         path = tmp_path / "m.mission"
         path.write_text("task(t, post=a, gc=!b)\n")
         assert main(["verify", "--mission", str(path), "--bound", "4"]) == EXIT_OK
+
+    @pytest.mark.parametrize("alphabet", [[], ["--alphabet", (
+        "NoErr,KeyStacked,IsKeyDoor,VisibleKeyDoor,KeyDoorPassive,PrizePassive,"
+        "PrizeVisible")]], ids=["inferred", "given"])
+    def test_verify_past_enumeration_guard_is_usage_error(self, capsys, alphabet):
+        assert main(["verify", "--mission", "missions/keydoor.mission",
+                     *alphabet]) == EXIT_USAGE
+        assert_single_error_line(capsys, "past the enumeration guard")
 
     def test_keydoor_report(self, tmp_path):
         out = tmp_path / "kd.json"

@@ -162,23 +162,3 @@ class TestGridEnv:
             GridConfig(fire_cell=(4, 4))
         with pytest.raises(ValueError):
             GridConfig(start_cell=(0, 1))
-
-    def test_config_json_roundtrip(self):
-        cfg = GridConfig(p_in=0.65, seed=9, r_other=-1.5)
-        assert GridConfig.from_json(cfg.to_json()) == cfg
-
-
-class TestTrajectoryDump:
-    def test_rows_cover_every_step(self):
-        from ppabt.gridworld import trajectory_csv_rows
-
-        cfg = GridConfig(p_in=1.0)
-        env = GridEnv(cfg, Random(2), record=True)
-        for action in ("Up", "Right", None, "Up"):
-            env.apply(action)
-        rows = trajectory_csv_rows(env, cfg, "C")
-        assert len(rows) == 4
-        ticks, cells, actions, realized, rewards, props = zip(*rows)
-        assert ticks == (0, 1, 2, 3)
-        assert actions[2] is None
-        assert all(isinstance(r, float) for r in rewards)

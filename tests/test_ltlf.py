@@ -2,11 +2,11 @@ import random
 
 import pytest
 
+from helpers import formula_from_json
 from ppabt.ltlf import (
-    And, Atom, Finally, Globally, Next, Not, Or, ParseError, Trace,
-    TraceIndexError, Until, UnknownAtom, atoms_of, compile_prop, eval_prop,
-    evaluate, format_formula, formula_from_json, formula_to_json,
-    is_propositional, parse_ltlf,
+    MAX_NESTING, And, Atom, Finally, Globally, Next, Not, Or, ParseError,
+    Trace, TraceIndexError, Until, UnknownAtom, atoms_of, compile_prop,
+    evaluate, format_formula, formula_to_json, is_propositional, parse_ltlf,
 )
 
 AB = {"a", "b", "c"}
@@ -128,11 +128,6 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace([], frozenset({"a"}))
 
-    def test_overlong_trace_rejected(self):
-        states = [{"a": False}, {"a": False}]
-        with pytest.raises(ValueError):
-            Trace(states, frozenset({"a"}), max_len=1)
-
     def test_partial_state_rejected(self):
         with pytest.raises(ValueError):
             Trace([{"a": True}], frozenset({"a", "b"}))
@@ -211,7 +206,8 @@ class TestPropositional:
         assert is_propositional(parse_ltlf("& a (! b)", AB))
         assert not is_propositional(parse_ltlf("& a (F b)", AB))
 
-    def test_eval_prop_matches_compiled(self):
+    def test_compiled_prop_matches_evaluate(self):
+        # a propositional formula on a state is the formula on a 1-state trace
         rng = random.Random(12)
         names = ["a", "b", "c"]
         for _ in range(200):
@@ -220,13 +216,34 @@ class TestPropositional:
             fn = compile_prop(f)
             for _ in range(8):
                 state = {n: rng.random() < 0.5 for n in names}
-                assert fn(state) == eval_prop(f, state)
+                assert fn(state) == evaluate(f, Trace([state], frozenset(names)))
 
     def test_temporal_rejected(self):
-        with pytest.raises(ValueError):
-            eval_prop(Finally(Atom("a")), {"a": True})
         with pytest.raises(ValueError):
             compile_prop(Next(Atom("a")))
 
     def test_atoms_of(self):
         assert atoms_of(parse_ltlf("| a (& b True)", AB)) == {"a", "b", "True"}
+
+
+class TestNesting:
+    @pytest.mark.parametrize("text", [
+        "! " * 2000 + "a",
+        "& " * 2000 + "a" + " a" * 2000,
+        "(" * 2000 + "a" + ")" * 2000,
+    ], ids=["not-chain", "and-chain", "parentheses"])
+    def test_deep_input_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="more than 100 nested"):
+            parse_ltlf(text, AB)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: "! " * n + "a",
+        lambda n: "U " * n + "a" + " a" * n,
+        lambda n: "(" * n + "a" + ")" * n,
+    ], ids=["not-chain", "until-chain", "parentheses"])
+    def test_nesting_limit_is_exact(self, make):
+        f = parse_ltlf(make(MAX_NESTING), AB)
+        assert parse_ltlf(format_formula(f), AB) == f
+        assert evaluate(f, trace_of(AB, {"a": True})) in (True, False)
+        with pytest.raises(ParseError):
+            parse_ltlf(make(MAX_NESTING + 1), AB)

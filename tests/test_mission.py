@@ -2,15 +2,19 @@ import random
 
 import pytest
 
-from helpers import derive_mission_text
+from helpers import derive_mission_text, formula_from_json
 
-from ppabt import ltlf
-from ppabt.ltlf import Atom, UnknownAtom, format_formula, parse_ltlf
+from ppabt import bt, ltlf
+from ppabt.compiler import bind_scripted, compile_mission
+from ppabt.ltlf import (
+    MAX_NESTING, Atom, ParseError, UnknownAtom, format_formula, formula_to_json,
+    parse_ltlf,
+)
 from ppabt.mission import (
-    And, DuplicateTaskName, Finally, Or, PpaTaskSpec, ReservedAtom, Task,
-    TemporalOperatorInCondition, Until, expand_mission, expand_task,
-    mission_alphabet, mission_from_json, mission_to_json, parse_mission,
-    parse_prop, ppa_task, render_mission, tasks_of,
+    And, DuplicateTaskName, Finally, MissionConfig, Or, PpaTaskSpec,
+    ReservedAtom, Task, TemporalOperatorInCondition, Until, expand_mission,
+    expand_task, mission_alphabet, parse_mission, parse_prop, ppa_task,
+    render_mission, tasks_of,
 )
 
 GRID_ATOMS = {"Cheese", "Fire", "Home"}
@@ -195,7 +199,7 @@ class TestGrammarProperties:
         for _ in range(100):
             text = derive_mission_text(rng, [0], alphabet, depth=3)
             expr = parse_mission(text, alphabet)
-            assert mission_from_json(mission_to_json(expr), alphabet) == expr
+            assert formula_from_json(formula_to_json(expr), alphabet) == expr
 
 
 class TestMissionAlphabet:
@@ -207,3 +211,43 @@ class TestMissionAlphabet:
     def test_prop_parser_standalone(self):
         f = parse_prop("!a & (b | c)", {"a", "b", "c"})
         assert f == ltlf.And(ltlf.Not(Atom("a")), ltlf.Or(Atom("b"), Atom("c")))
+
+
+def nested_mission(levels, shape):
+    """Mission text nested exactly ``levels`` deep, about half of it inside
+    a task condition: in operators and parentheses both (the deepest
+    parse), or in operators alone (the deepest tree)."""
+    outer, inner = levels // 2, levels - levels // 2
+    if shape == "parentheses":
+        cond = "!(" * inner + "a" + ")" * inner
+        return "F (" * outer + f"task(t, post={cond})" + ")" * outer
+    cond = " & ".join(["a"] * (inner + 1))
+    return "U " * outer + " ".join(f"task(t{i}, post={cond})" for i in range(outer + 1))
+
+
+class TestNesting:
+    @pytest.mark.parametrize("parse, text", [
+        (parse_prop, "!" * 2000 + "a"),
+        (parse_prop, "(" * 2000 + "a" + ")" * 2000),
+        (parse_prop, " & ".join(["a"] * 2000)),
+        (parse_mission, "F (" * 1500 + "task(t, post=a)" + ")" * 1500),
+    ], ids=["prop-not-chain", "prop-parentheses", "prop-and-chain", "mission-F"])
+    def test_deep_input_is_a_parse_error(self, parse, text):
+        with pytest.raises(ParseError, match="more than 100 nested"):
+            parse(text, {"a"})
+
+    @pytest.mark.parametrize("shape", ["parentheses", "operators"])
+    def test_mission_at_the_limit_runs_end_to_end(self, shape):
+        alphabet = {"a"}
+        expr = parse_mission(nested_mission(MAX_NESTING, shape), alphabet)
+        assert parse_mission(render_mission(expr), alphabet) == expr
+        formula = expand_mission(expr)
+        assert format_formula(formula)
+        alpha = mission_alphabet(expr, frozenset(alphabet))
+        state = {name: True for name in alpha}
+        assert ltlf.evaluate(formula, ltlf.Trace([state], alpha)) in (True, False)
+        cfg = MissionConfig(t_task_max=5, theta=1, alphabet=frozenset(alphabet))
+        tree = bind_scripted(compile_mission(expr, cfg), expr, cfg)
+        assert bt.MissionRunner(tree).tick_once({"a": True}) in bt.Status
+        with pytest.raises(ParseError):
+            parse_mission(nested_mission(MAX_NESTING + 1, shape), alphabet)

@@ -6,11 +6,12 @@ import pytest
 from vi_oracle import value_iteration
 
 from ppabt import gridworld as gw
+from ppabt.mission import parse_mission
 from ppabt.missions import build_c2h
 from ppabt.planners import (
-    EpisodeRecord, LearnerConfig, NonStochasticKernel, Policy,
-    evaluate_policy, feedback_update, greedy_from_q, learn,
-    plan_grid_policies, policy_iteration,
+    C2hRuntime, EpisodeRecord, LearnerConfig, NonStochasticKernel,
+    PhaseCountMismatch, Policy, evaluate_policy, feedback_update,
+    greedy_from_q, learn, plan_grid_policies, policy_iteration,
 )
 
 
@@ -110,7 +111,7 @@ class TestFeedbackUpdate:
 
     def test_phase_segments_split(self):
         policy = Policy()
-        record = EpisodeRecord([("a", 0), ("b", 1)], b=-1, phase_split=1)
+        record = EpisodeRecord([("a", 0), ("b", 1)], b=-1, phases=["C", "H"])
         feedback_update(policy, record)
         # cheese segment gets +1 despite the failed mission
         assert policy.tables["C"]["a"][0] > 0.25
@@ -124,8 +125,9 @@ class TestFeedbackUpdate:
         for _ in range(10_000):
             n = rng.randint(1, 6)
             pairs = [(rng.choice(keys), rng.randrange(4)) for _ in range(n)]
-            split = rng.choice([None, rng.randint(0, n)])
-            record = EpisodeRecord(pairs, b=rng.choice([1, -1]), phase_split=split)
+            split = rng.randint(0, n)
+            phases = rng.choice([None, ["C"] * split + ["H"] * (n - split)])
+            record = EpisodeRecord(pairs, b=rng.choice([1, -1]), phases=phases)
             feedback_update(policy, record, mu=rng.uniform(0.5, 1.0))
         policy.validate()
 
@@ -174,6 +176,19 @@ class TestLearning:
         last = sum(r["status"] == "success" for r in curve[-50:])
         assert last > first
         assert last / 50 > 0.0
+
+    def test_phases_follow_task_order(self):
+        cfg = gw.GridConfig(p_in=0.95, start_cell=(4, 1))
+        runtime = C2hRuntime(build_c2h(cfg), cfg, Policy(), max_trace=50)
+        records = [runtime.run_episode(seed)[2] for seed in range(20)]
+        assert all(r.phases == sorted(r.phases) for r in records)  # C before H
+        assert any("H" in r.phases for r in records)
+
+    def test_mission_needs_one_task_per_phase(self):
+        cfg = gw.GridConfig()
+        expr = parse_mission("F (task(cheese, post=Cheese))", gw.grid_alphabet(cfg))
+        with pytest.raises(PhaseCountMismatch):
+            C2hRuntime(expr, cfg, Policy(), max_trace=10)
 
     def test_curve_seeds_reproduce_episodes(self):
         cfg = gw.GridConfig(p_in=0.9, start_cell=(4, 1))
