@@ -9,7 +9,6 @@ a whole execution can be snapshotted and restored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
@@ -45,10 +44,9 @@ class ConcurrentActionConflict(BtError):
 
 
 class Blackboard:
-    """Global key-value store plus per-node memory keyed by node id."""
+    """Per-node memory keyed by node id."""
 
     def __init__(self):
-        self.entries: dict = {}
         self.node_memory: dict[int, dict] = {}
 
     def mem(self, node_id: int) -> dict:
@@ -58,28 +56,23 @@ class Blackboard:
         return mem
 
     def snapshot(self) -> dict:
-        return {
-            "entries": dict(self.entries),
-            "node_memory": {nid: dict(m) for nid, m in self.node_memory.items()},
-        }
+        return {nid: dict(m) for nid, m in self.node_memory.items()}
 
     def restore(self, snap: dict) -> None:
-        self.entries = dict(snap["entries"])
-        self.node_memory = {nid: dict(m) for nid, m in snap["node_memory"].items()}
+        self.node_memory = {nid: dict(m) for nid, m in snap.items()}
 
 
 class TickContext:
-    __slots__ = ("state", "t", "blackboard", "rng", "pending", "resets", "statuses")
+    __slots__ = ("state", "t", "blackboard", "rng", "pending", "resets")
 
     def __init__(self, state: StateVector, t: int, blackboard: Blackboard,
-                 rng: Random | None = None, statuses: dict | None = None):
+                 rng: Random | None = None):
         self.state = state
         self.t = t
         self.blackboard = blackboard
         self.rng = rng
         self.pending: tuple[str, object] | None = None
         self.resets: list[int] = []
-        self.statuses = statuses
 
     def request_action(self, binding: str, env_action) -> None:
         if self.pending is not None:
@@ -105,14 +98,9 @@ class BtNode:
     def children_nodes(self) -> list["BtNode"]:
         return []
 
-    def _record(self, status: Status, ctx: TickContext) -> Status:
-        if ctx.statuses is not None:
-            ctx.statuses[self.id] = status
-        return status
 
-
-class Sequence(BtNode):
-    kind = "sequence"
+class ControlNode(BtNode):
+    """Sequence, selector or parallel over a non-empty list of children."""
 
     def __init__(self, children: list[BtNode]):
         super().__init__()
@@ -121,52 +109,51 @@ class Sequence(BtNode):
 
     def children_nodes(self):
         return self.children
+
+
+class DecoratorNode(BtNode):
+    """Node with exactly one child."""
+
+    def __init__(self, child: BtNode):
+        super().__init__()
+        self.child = child
+
+    def children_nodes(self):
+        return [self.child]
+
+
+class Sequence(ControlNode):
+    kind = "sequence"
 
     def tick(self, ctx):
         for child in self.children:
             status = child.tick(ctx)
             if status is not SUCCESS:
-                return self._record(status, ctx)
-        return self._record(SUCCESS, ctx)
+                return status
+        return SUCCESS
 
 
-class Selector(BtNode):
+class Selector(ControlNode):
     kind = "selector"
-
-    def __init__(self, children: list[BtNode]):
-        super().__init__()
-        assert children, "control node needs at least one child"
-        self.children = list(children)
-
-    def children_nodes(self):
-        return self.children
 
     def tick(self, ctx):
         for child in self.children:
             status = child.tick(ctx)
             if status is not FAILURE:
-                return self._record(status, ctx)
-        return self._record(FAILURE, ctx)
+                return status
+        return FAILURE
 
 
-class Parallel(BtNode):
+class Parallel(ControlNode):
     kind = "parallel"
-
-    def __init__(self, children: list[BtNode]):
-        super().__init__()
-        assert children, "control node needs at least one child"
-        self.children = list(children)
-
-    def children_nodes(self):
-        return self.children
 
     def tick(self, ctx):
         statuses = [child.tick(ctx) for child in self.children]
         if any(s is FAILURE for s in statuses):
-            return self._record(FAILURE, ctx)
+            return FAILURE
         if all(s is SUCCESS for s in statuses):
-            return self._record(SUCCESS, ctx)
-        return self._record(RUNNING, ctx)
+            return SUCCESS
+        return RUNNING
 
 
 class Condition(BtNode):
@@ -180,7 +167,7 @@ class Condition(BtNode):
         self._fn = compile_prop(prop)
 
     def tick(self, ctx):
-        return self._record(SUCCESS if self._fn(ctx.state) else FAILURE, ctx)
+        return SUCCESS if self._fn(ctx.state) else FAILURE
 
 
 class Action(BtNode):
@@ -194,32 +181,25 @@ class Action(BtNode):
     def tick(self, ctx):
         if self.runner is None:
             raise UnboundAction(self.binding)
-        return self._record(self.runner.tick(ctx, self.id), ctx)
+        return self.runner.tick(ctx, self.id)
 
 
-class PreconditionLatch(BtNode):
+class PreconditionLatch(DecoratorNode):
     """Sticks at Success once its child has succeeded within the attempt."""
 
     kind = "precondition_latch"
 
-    def __init__(self, child: BtNode):
-        super().__init__()
-        self.child = child
-
-    def children_nodes(self):
-        return [self.child]
-
     def tick(self, ctx):
         mem = ctx.blackboard.mem(self.id)
         if mem.get("latched"):
-            return self._record(SUCCESS, ctx)
+            return SUCCESS
         status = self.child.tick(ctx)
         if status is SUCCESS:
             mem["latched"] = True
-        return self._record(status, ctx)
+        return status
 
 
-class FinallyReset(BtNode):
+class FinallyReset(DecoratorNode):
     """Mission Finally decorator.
 
     Latches child success.  On child failure it resets the descendant
@@ -230,74 +210,62 @@ class FinallyReset(BtNode):
     kind = "finally_reset"
 
     def __init__(self, child: BtNode, theta: int):
-        super().__init__()
+        super().__init__(child)
         assert theta >= 0
-        self.child = child
         self.theta = theta
-
-    def children_nodes(self):
-        return [self.child]
 
     def tick(self, ctx):
         mem = ctx.blackboard.mem(self.id)
         if mem.get("succeeded"):
-            return self._record(SUCCESS, ctx)
+            return SUCCESS
         status = self.child.tick(ctx)
         if status is SUCCESS:
             mem["succeeded"] = True
-            return self._record(SUCCESS, ctx)
+            return SUCCESS
         if status is FAILURE:
             used = mem.get("resets", 0)
             if used < self.theta:
                 mem["resets"] = used + 1
                 reset_descendant_decorators(self.child, ctx.blackboard)
                 ctx.resets.append(self.id)
-                return self._record(RUNNING, ctx)
-            return self._record(FAILURE, ctx)
-        return self._record(RUNNING, ctx)
+                return RUNNING
+            return FAILURE
+        return RUNNING
 
 
-class MissionRoot(BtNode):
+class MissionRoot(DecoratorNode):
     """Passes its child's status through and fails once time is up."""
 
     kind = "mission_root"
 
     def __init__(self, child: BtNode, t_task_max: int):
-        super().__init__()
+        super().__init__(child)
         assert t_task_max >= 1
-        self.child = child
         self.t_task_max = t_task_max
-
-    def children_nodes(self):
-        return [self.child]
 
     def tick(self, ctx):
         status = self.child.tick(ctx)
         if status is not SUCCESS and ctx.t >= self.t_task_max:
             status = FAILURE
-        return self._record(status, ctx)
+        return status
 
 
-class TaskBoundary(BtNode):
+class TaskBoundary(DecoratorNode):
     """Separates one task's subtree from the rest of the mission."""
 
     kind = "task_boundary"
 
-    def __init__(self, child: BtNode):
-        super().__init__()
-        self.child = child
-
-    def children_nodes(self):
-        return [self.child]
-
     def tick(self, ctx):
-        return self._record(self.child.tick(ctx), ctx)
+        return self.child.tick(ctx)
 
 
 def iter_nodes(tree: BtNode) -> Iterator[BtNode]:
-    yield tree
-    for child in tree.children_nodes():
-        yield from iter_nodes(child)
+    """Every node of the tree in preorder."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children_nodes()))
 
 
 def assign_ids(tree: BtNode) -> BtNode:
@@ -316,14 +284,12 @@ def reset_descendant_decorators(node: BtNode, blackboard: Blackboard) -> None:
     """
     for n in iter_nodes(node):
         mem = blackboard.node_memory.get(n.id)
-        if mem is None:
+        if not mem:
             continue
-        if isinstance(n, PreconditionLatch):
-            mem.pop("latched", None)
-        elif isinstance(n, FinallyReset):
-            mem.pop("succeeded", None)
-        elif isinstance(n, Action):
-            mem.clear()
+        resets = mem.get("resets")
+        mem.clear()
+        if resets is not None and isinstance(n, FinallyReset):
+            mem["resets"] = resets
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +297,9 @@ def reset_descendant_decorators(node: BtNode, blackboard: Blackboard) -> None:
 
 @dataclass
 class EpisodeLog:
-    records: list[dict] = field(default_factory=list)
-    reset_counts: dict[int, int] = field(default_factory=dict)
+    """Resets issued per Finally decorator id over one execution."""
 
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(rec) for rec in self.records)
+    reset_counts: dict[int, int] = field(default_factory=dict)
 
     def total_resets(self) -> int:
         return sum(self.reset_counts.values())
@@ -380,12 +344,6 @@ class MissionRunner:
         self.pending = ctx.pending
         for nid in ctx.resets:
             self.log.reset_counts[nid] = self.log.reset_counts.get(nid, 0) + 1
-        self.log.records.append({
-            "t": self.t,
-            "status": status.value,
-            "action": list(ctx.pending) if ctx.pending else None,
-            "resets": list(ctx.resets),
-        })
         self.t += 1
         return status
 
@@ -394,7 +352,6 @@ class MissionRunner:
             "bb": self.blackboard.snapshot(),
             "t": self.t,
             "n_states": len(self.trace_states),
-            "n_records": len(self.log.records),
             "resets": dict(self.log.reset_counts),
         }
 
@@ -402,7 +359,6 @@ class MissionRunner:
         self.blackboard.restore(snap["bb"])
         self.t = snap["t"]
         del self.trace_states[snap["n_states"]:]
-        del self.log.records[snap["n_records"]:]
         self.log.reset_counts = dict(snap["resets"])
 
 

@@ -1,4 +1,4 @@
-"""Stochastic mouse-and-cheese grid: slip-model moves, propositions, rewards.
+"""Stochastic mouse-and-cheese grid: slip-model moves, propositions, phase MDPs.
 
 Cells are 1-based (column j, row k).  The agent's intended move happens
 with probability ``p_in``; otherwise it slips to one of the two
@@ -7,9 +7,9 @@ a wall leaves the position unchanged.  Entering the cheese cell picks up
 the cheese, which is never dropped.
 
 Reaching the fire cell does not end an episode here; mission failure
-comes from the global-constraint condition in the behavior tree.  For
-the MDP planner the analytic kernel can make fire and the goal
-absorbing, which is the default planner model.
+comes from the global-constraint condition in the behavior tree.  The
+planner's per-phase MDP makes fire and the phase goal absorbing and
+pays rewards on entering a cell.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ class GridConfig:
     r_good: float = 1.0
     r_fire: float = -1.0
     seed: int = 0
-    mdp_fire_absorbing: bool = True
-    mdp_goal_absorbing: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.p_in <= 1.0:
@@ -112,18 +110,6 @@ def propositions(state: GridState, cfg: GridConfig) -> dict[str, bool]:
     return props
 
 
-def reward(state_after: GridState, cfg: GridConfig, phase: str) -> float:
-    """Scalar reward for the state just entered, per task phase (C or H)."""
-    if state_after.mouse_cell == cfg.fire_cell:
-        return cfg.r_fire
-    if phase == "C":
-        return cfg.r_good if state_after.has_cheese else cfg.r_other
-    if phase == "H":
-        at_home = state_after.mouse_cell == cfg.home_cell
-        return cfg.r_good if (at_home and state_after.has_cheese) else cfg.r_other
-    raise ValueError(f"unknown phase {phase!r}")
-
-
 class GridEnv:
     """Environment adapter for the behavior-tree run loop."""
 
@@ -166,10 +152,11 @@ def movement_kernel(cfg: GridConfig) -> np.ndarray:
 def build_phase_mdp(cfg: GridConfig, phase: str) -> tuple[np.ndarray, np.ndarray]:
     """(P, r) for one task phase with entry rewards.
 
-    The goal cell (cheese for phase C, home for phase H) and optionally
-    the fire cell are absorbing: they self-loop and yield no further
-    reward, so values measure the discounted return up to task end.
-    ``r[s, a]`` is the expected entry reward of the next state.
+    Entering the goal cell (cheese for phase C, home for phase H) pays
+    ``r_good``, entering fire ``r_fire`` and any other cell ``r_other``.
+    The goal and fire cells are absorbing: they self-loop and yield no
+    further reward, so values measure the discounted return up to task
+    end.  ``r[s, a]`` is the expected entry reward of the next state.
     """
     goal = cfg.cheese_cell if phase == "C" else cfg.home_cell
     P = movement_kernel(cfg)
@@ -178,11 +165,7 @@ def build_phase_mdp(cfg: GridConfig, phase: str) -> tuple[np.ndarray, np.ndarray
     entry[cfg.cell_index(goal)] = cfg.r_good
     entry[cfg.cell_index(cfg.fire_cell)] = cfg.r_fire
 
-    absorbing = []
-    if cfg.mdp_goal_absorbing:
-        absorbing.append(cfg.cell_index(goal))
-    if cfg.mdp_fire_absorbing:
-        absorbing.append(cfg.cell_index(cfg.fire_cell))
+    absorbing = (cfg.cell_index(goal), cfg.cell_index(cfg.fire_cell))
     for s in absorbing:
         P[s, :, :] = 0.0
         P[s, :, s] = 1.0

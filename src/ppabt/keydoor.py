@@ -32,6 +32,10 @@ POSTCONDITION = {"key": "KeyStacked", "door": "KeyDoorPassive",
 DISTURBED_PROP = {"key": "VisibleKeyDoor", "door": "KeyStacked",
                   "prize": "KeyDoorPassive"}
 
+# trials in one run_experiment block: undisturbed, then per disturbed stage
+N_NORMAL = 10
+N_DISTURBED_PER_STAGE = 5
+
 INITIAL_PROPS = {
     "NoErr": True,
     "KeyStacked": False,
@@ -131,8 +135,9 @@ def run_baseline_trial(script: ScenarioScript) -> dict:
             "failed_stage": None, "resets": 0}
 
 
-def run_bt_trial(script: ScenarioScript, audit: bool = True) -> dict:
-    """Compile the key-door mission and run it against the scripted world."""
+def run_bt_trial(script: ScenarioScript) -> dict:
+    """Compile the key-door mission, run it against the scripted world and
+    audit a successful trace against the expanded mission formula."""
     expr = build_keydoor()
     cfg = MissionConfig(t_task_max=script.t_task_max, theta=script.theta,
                         alphabet=KEYDOOR_ATOMS)
@@ -149,7 +154,7 @@ def run_bt_trial(script: ScenarioScript, audit: bool = True) -> dict:
                                                      script.max_trace)
     success = status is bt.SUCCESS
     sound = True
-    if audit and success:
+    if success:
         alphabet = mission_alphabet(expr, KEYDOOR_ATOMS)
         trace = Trace(trace_states, alphabet)
         sound = evaluate(expand_mission(expr), trace, 0)
@@ -165,28 +170,19 @@ def _failed_stage(world: KeyDoorWorld) -> str:
     return "unknown"
 
 
-def run_experiment(mode: str, theta: int = 1, n_normal: int = 10,
-                   n_disturbed_per_stage: int = 5, reversible: bool = True,
-                   durations: dict | None = None) -> dict:
+def run_experiment(mode: str, theta: int = 1, reversible: bool = True) -> dict:
     """Paper-shaped trial block: normal trials plus per-stage disturbances."""
     run_trial = run_baseline_trial if mode == "baseline" else run_bt_trial
-
-    def script(pert=None):
-        kwargs = {"theta": theta, "perturbation": pert}
-        if durations is not None:
-            kwargs["durations"] = dict(durations)
-        return ScenarioScript(**kwargs)
-
     trials = []
-    for i in range(n_normal):
-        result = run_trial(script())
+    for i in range(N_NORMAL):
+        result = run_trial(ScenarioScript(theta=theta))
         result.update(trial=len(trials), disturbed=None)
         trials.append(result)
     for stage in STAGES:
-        for i in range(n_disturbed_per_stage):
+        for i in range(N_DISTURBED_PER_STAGE):
             pert = Perturbation(stage, at_progress=1 + i % 2,
                                 reversible=reversible)
-            result = run_trial(script(pert))
+            result = run_trial(ScenarioScript(theta=theta, perturbation=pert))
             result.update(trial=len(trials), disturbed=stage)
             trials.append(result)
 
@@ -194,11 +190,11 @@ def run_experiment(mode: str, theta: int = 1, n_normal: int = 10,
         "mode": mode,
         "normal_successes": sum(t["success"] for t in trials
                                 if t["disturbed"] is None),
-        "normal_trials": n_normal,
+        "normal_trials": N_NORMAL,
         "disturbed_successes": {
             stage: sum(t["success"] for t in trials if t["disturbed"] == stage)
             for stage in STAGES
         },
-        "disturbed_trials_per_stage": n_disturbed_per_stage,
+        "disturbed_trials_per_stage": N_DISTURBED_PER_STAGE,
     }
     return {"summary": summary, "trials": trials}

@@ -26,6 +26,8 @@ from .mission import MissionConfig, MissionExpr, expand_mission, mission_alphabe
 from .verify import audit_trace
 
 PHASES = ("C", "H")
+TIE_TOL = 1e-9
+MAX_SWEEPS = 1000
 
 
 class PlannerError(Exception):
@@ -76,10 +78,6 @@ class Policy:
                 return i
         return 3
 
-    def best(self, key: str, phase: str) -> int:
-        row = self.row(key, phase)
-        return max(range(4), key=lambda i: (row[i], -i))
-
     def validate(self, tol: float = 1e-9) -> None:
         for phase, table in self.tables.items():
             for key, row in table.items():
@@ -102,18 +100,18 @@ class Policy:
 # ---------------------------------------------------------------------------
 # Exact dynamic programming
 
-def greedy_from_q(q: np.ndarray, tie_tol: float = 1e-9) -> np.ndarray:
-    """First action within tie_tol of the row maximum (fixed action order)."""
+def greedy_from_q(q: np.ndarray) -> np.ndarray:
+    """First action within TIE_TOL of the row maximum (fixed action order)."""
     best = q.max(axis=1)
-    return np.argmax(q >= (best - tie_tol)[:, None], axis=1)
+    return np.argmax(q >= (best - TIE_TOL)[:, None], axis=1)
 
 
-def policy_iteration(P: np.ndarray, r: np.ndarray, gamma: float,
-                     tol: float = 1e-10, max_iters: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+def policy_iteration(P: np.ndarray, r: np.ndarray,
+                     gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact policy iteration; returns (greedy action per state, values).
 
-    Evaluation solves (I - gamma * P_pi) v = r_pi directly, so ``tol``
-    only guards the stochasticity check on the kernel rows.
+    Evaluation solves (I - gamma * P_pi) v = r_pi directly, with no
+    tolerance; the kernel's rows must sum to 1 within 1e-9.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -122,7 +120,7 @@ def policy_iteration(P: np.ndarray, r: np.ndarray, gamma: float,
     n = P.shape[0]
     pi = np.zeros(n, dtype=int)
     identity = np.eye(n)
-    for _ in range(max_iters):
+    for _ in range(MAX_SWEEPS):
         P_pi = P[np.arange(n), pi]
         r_pi = r[np.arange(n), pi]
         v = np.linalg.solve(identity - gamma * P_pi, r_pi)
@@ -131,7 +129,7 @@ def policy_iteration(P: np.ndarray, r: np.ndarray, gamma: float,
         if np.array_equal(new_pi, pi):
             return pi, v
         pi = new_pi
-    raise NoConvergence(f"no fixed point after {max_iters} improvement sweeps")
+    raise NoConvergence(f"no fixed point after {MAX_SWEEPS} improvement sweeps")
 
 
 def plan_grid_policies(cfg: gw.GridConfig, gamma: float = 0.9) -> Policy:
@@ -213,9 +211,7 @@ class LearnerConfig:
     episodes: int = 200
     max_trace: int = 50
     mu: float = 0.9
-    floor: float = 1e-3
     seed: int = 0
-    audit: bool = True
 
     def __post_init__(self):
         if self.episodes < 0 or self.max_trace < 1:
@@ -242,8 +238,7 @@ class C2hRuntime:
     """
 
     def __init__(self, expr: MissionExpr, grid_cfg: gw.GridConfig,
-                 policy: Policy, max_trace: int, theta: int = 0,
-                 sample_mode: str = "sample"):
+                 policy: Policy, max_trace: int):
         specs = tasks_of(expr)
         if len(specs) != len(PHASES):
             raise PhaseCountMismatch(
@@ -252,10 +247,9 @@ class C2hRuntime:
         self.grid_cfg = grid_cfg
         self.policy = policy
         self.max_trace = max_trace
-        self.sample_mode = sample_mode
         self.formula = expand_mission(expr)
         self.alphabet = mission_alphabet(expr, gw.grid_alphabet(grid_cfg))
-        mcfg = MissionConfig(t_task_max=max_trace, theta=theta,
+        mcfg = MissionConfig(t_task_max=max_trace, theta=0,
                              alphabet=self.alphabet)
         self.tree = compile_mission(expr, mcfg)
         self._env_slot: dict = {"env": None}
@@ -268,14 +262,10 @@ class C2hRuntime:
         policy = self.policy
         slot = self._env_slot
         pairs = self.pairs
-        sample_mode = self.sample_mode
 
         def choose(state, mem, rng):
             key = cell_key(slot["env"].state.mouse_cell)
-            if sample_mode == "best":
-                action = policy.best(key, phase)
-            else:
-                action = policy.sample(key, phase, rng)
+            action = policy.sample(key, phase, rng)
             pairs.append((key, action, phase))
             return action
 
@@ -312,9 +302,9 @@ def learn(expr: MissionExpr, grid_cfg: gw.GridConfig, lcfg: LearnerConfig,
     for episode in range(lcfg.episodes):
         ep_seed = master.randrange(2 ** 62)
         status, trace_states, record = runtime.run_episode(ep_seed)
-        if lcfg.audit and not runtime.audit(status, trace_states):
+        if not runtime.audit(status, trace_states):
             raise SoundnessViolation(trace_states)
-        feedback_update(policy, record, lcfg.mu, lcfg.floor)
+        feedback_update(policy, record, lcfg.mu)
         curve.append({"episode": episode, "status": status.value,
                       "trace_len": len(trace_states), "seed": ep_seed})
     return policy, curve
@@ -323,11 +313,9 @@ def learn(expr: MissionExpr, grid_cfg: gw.GridConfig, lcfg: LearnerConfig,
 def evaluate_policy(expr: MissionExpr, grid_cfg: gw.GridConfig, policy: Policy,
                     n_trials: int, randomize_start: bool = True,
                     seed: int = 0, max_trace: int = 50,
-                    sample_mode: str = "sample",
                     audit: bool = True) -> dict:
     """Success fraction and mean trace length over independent episodes."""
-    runtime = C2hRuntime(expr, grid_cfg, policy, max_trace,
-                         sample_mode=sample_mode)
+    runtime = C2hRuntime(expr, grid_cfg, policy, max_trace)
     master = Random(seed)
     start_choices = [c for c in grid_cfg.cells() if c != grid_cfg.fire_cell]
     successes = 0

@@ -36,6 +36,10 @@ from .compiler import bind_scripted, compile_mission
 from .ltlf import Atom, Formula, Trace, evaluate
 
 
+# counterexample traces an InclusionReport keeps; all are counted
+MAX_COUNTEREXAMPLES = 25
+
+
 class BoundTooLarge(Exception):
     pass
 
@@ -144,8 +148,8 @@ class InclusionReport:
         return rows
 
 
-def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet, bound: int,
-                    max_counterexamples: int = 25) -> InclusionReport:
+def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
+                    bound: int) -> InclusionReport:
     """Run the tree on every proposition stream up to the length bound.
 
     Action nodes must be bound to scripted runners; the reserved action
@@ -172,7 +176,7 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet, bound: int,
                 trace = Trace(states, trace_alpha)
                 if not evaluate(formula, trace, 0):
                     report.n_violations += 1
-                    if len(report.counterexamples) < max_counterexamples:
+                    if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
                         report.counterexamples.append(states)
             elif status is bt.RUNNING and depth + 1 < bound:
                 visit(depth + 1)

@@ -63,7 +63,7 @@ class StubNode(BtNode):
     def tick(self, ctx):
         status = self.statuses[min(self.ticks, len(self.statuses) - 1)]
         self.ticks += 1
-        return self._record(status, ctx)
+        return status
 
 
 # ---------------------------------------------------------------------------

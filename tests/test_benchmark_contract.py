@@ -55,3 +55,15 @@ def test_every_called_name_exists(script):
     refs = ppabt_references(PERFBENCH / script)
     for module, name in refs:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_node_ticks_of_a_seeded_episode(spans):
+    """Pins the engine's short-circuit order and the benchmark's
+    ``bt.node_ticks_per_tick`` counter on one seeded c2h episode."""
+    from ppabt.gridworld import GridConfig
+    from ppabt.missions import build_c2h
+    from ppabt.planners import C2hRuntime, Policy
+
+    cfg = GridConfig(p_in=0.8)
+    runtime = C2hRuntime(build_c2h(cfg), cfg, Policy(), 50)
+    assert spans.count_node_ticks(lambda: runtime.run_episode(7)) == (648, 40)

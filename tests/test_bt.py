@@ -19,30 +19,41 @@ A = ltlf.Atom
 
 
 def tick_tree(tree, state, blackboard=None, t=0):
-    ctx = TickContext(state, t, blackboard or Blackboard(), statuses={})
+    ctx = TickContext(state, t, blackboard or Blackboard())
     return tree.tick(ctx), ctx
+
+
+def tick_statuses(tree, rows):
+    """Root status of each tick when the tree is fed ``rows`` in order."""
+    runner = MissionRunner(tree)
+    return [runner.tick_once(state) for state in StaticEnv(GRID, rows).states]
 
 
 class TestControlNodes:
     def test_selector_evaluates_right_after_left_fails(self):
-        tree = assign_ids(Selector([Condition(A("a")), Condition(A("b"))]))
-        status, ctx = tick_tree(tree, {"a": False, "b": True})
+        right = StubNode([SUCCESS])
+        tree = Selector([StubNode([FAILURE]), right])
+        status, _ = tick_tree(tree, {})
         assert status is SUCCESS
-        assert tree.children[1].id in ctx.statuses  # b was evaluated
+        assert right.ticks == 1
 
     def test_selector_skips_right_when_left_succeeds(self):
-        tree = assign_ids(Selector([Condition(A("a")), Condition(A("b"))]))
-        status, ctx = tick_tree(tree, {"a": True, "b": True})
+        right = StubNode([SUCCESS])
+        tree = Selector([StubNode([SUCCESS]), right])
+        status, _ = tick_tree(tree, {})
         assert status is SUCCESS
-        assert tree.children[1].id not in ctx.statuses
+        assert right.ticks == 0
 
     def test_sequence_never_ticks_action_after_failing_condition(self):
         act = Action("x")
-        act.runner = ActionRunner("x", A("done"), 10)
+        act.runner = ActionRunner("x", A("done"), 10, choose=lambda s, m, r: "go")
         tree = assign_ids(Sequence([Condition(A("a")), act]))
         status, ctx = tick_tree(tree, {"a": False, "done": False})
         assert status is FAILURE
-        assert act.id not in ctx.statuses
+        assert ctx.pending is None  # the action would have requested "go"
+        status, ctx = tick_tree(tree, {"a": True, "done": False})
+        assert status is RUNNING
+        assert ctx.pending == ("x", "go")
 
     def test_parallel_two_child_status_table(self):
         # any failure wins, then all-success, otherwise running
@@ -137,6 +148,28 @@ class TestDecorators:
             tick_tree(outer, {}, bb)
         assert bb.mem(inner.id)["resets"] == 1  # not re-armed
 
+    def test_ancestor_reset_clears_descendant_memory(self):
+        # inner Finally: one reset on tick 0, plan memory on tick 1, success
+        # on tick 2, where the failing stub makes the outer Finally reset
+        act = Action("x")
+        act.runner = ActionRunner("x", A("done"), 10,
+                                  choose=lambda s, mem, r: mem.setdefault("plan", "go"))
+        inner = FinallyReset(Sequence([Condition(A("ok")), act]), theta=2)
+        outer = assign_ids(FinallyReset(Sequence([inner, StubNode([FAILURE])]), theta=1))
+        runner = MissionRunner(outer)
+        bb = runner.blackboard
+        assert runner.tick_once({"ok": False, "done": False}) is RUNNING
+        assert runner.tick_once({"ok": True, "done": False}) is RUNNING
+        assert bb.mem(act.id) == {"plan": "go"}
+        snap = runner.snapshot()
+        assert runner.tick_once({"ok": True, "done": True}) is RUNNING
+        assert bb.mem(act.id) == {}                  # plan memory cleared
+        assert bb.mem(inner.id) == {"resets": 1}     # success cleared, counter kept
+        assert runner.log.reset_counts == {inner.id: 1, outer.id: 1}
+        runner.restore(snap)
+        assert runner.log.reset_counts == {inner.id: 1}
+        assert bb.mem(act.id) == {"plan": "go"}
+
     def test_mission_root_time_budget(self):
         node = assign_ids(MissionRoot(StubNode([RUNNING]), t_task_max=2))
         bb = Blackboard()
@@ -208,8 +241,8 @@ class TestRunToCompletion:
         status, trace, log = run_to_completion(tree, env, max_trace=10)
         assert status is SUCCESS
         assert log.total_resets() == 1
-        assert [r["status"] for r in log.records] == \
-            ["running", "running", "running", "success"]
+        assert tick_statuses(scripted_task_tree(theta=1), env.states) == \
+            [RUNNING, RUNNING, RUNNING, SUCCESS]
 
     def test_theta_two_three_failures(self):
         # hand-simulated: failures at ticks 1, 3, 5; two resets then final
@@ -219,8 +252,8 @@ class TestRunToCompletion:
         status, trace, log = run_to_completion(tree, env, max_trace=10)
         assert status is FAILURE
         assert log.total_resets() == 2
-        assert [r["status"] for r in log.records] == \
-            ["running"] * 5 + ["failure"]
+        assert tick_statuses(scripted_task_tree(theta=2), env.states) == \
+            [RUNNING] * 5 + [FAILURE]
 
     def test_precondition_checked_at_start_only(self):
         tree = scripted_task_tree(pre="Home")
@@ -245,14 +278,14 @@ class TestRunToCompletion:
         assert trace[1]["__action_t"] is True
 
     def test_determinism(self):
-        logs = []
+        runs = []
         for _ in range(2):
             tree = scripted_task_tree(theta=1)
             env = StaticEnv(GRID, [{}, {"Fire": True}, {}, {"Cheese": True}])
-            _, _, log = run_to_completion(tree, env, max_trace=10,
-                                          rng=random.Random(5))
-            logs.append(log.records)
-        assert logs[0] == logs[1]
+            status, trace, log = run_to_completion(tree, env, max_trace=10,
+                                                   rng=random.Random(5))
+            runs.append((status, trace, env.applied, log.reset_counts))
+        assert runs[0] == runs[1]
 
 
 class TestActionContract:
@@ -333,24 +366,23 @@ class TestSerialization:
         assert status is SUCCESS
 
 
-class TestEpisodeLogExport:
-    def test_jsonl_one_record_per_tick(self):
-        import json as jsonlib
-
+class TestEpisodeLog:
+    def test_reset_counted_on_its_tick(self):
         tree = scripted_task_tree(theta=1)
+        runner = MissionRunner(tree)
         env = StaticEnv(GRID, [{}, {"Fire": True}, {}, {"Cheese": True}])
-        status, trace, log = run_to_completion(tree, env, max_trace=10)
-        lines = log.to_jsonl().splitlines()
-        assert len(lines) == len(trace)
-        records = [jsonlib.loads(line) for line in lines]
-        assert [r["t"] for r in records] == list(range(len(trace)))
-        assert records[1]["resets"]  # the reset tick is visible in the log
+        counts = []
+        for t, state in enumerate(env.states):
+            runner.tick_once(state)
+            assert runner.t == len(runner.trace_states) == t + 1
+            counts.append(runner.log.total_resets())
+        assert counts == [0, 1, 1, 1]  # the Fire tick reset the task
 
     def test_execution_halts_at_first_terminal_status(self):
         tree = scripted_task_tree()
         env = StaticEnv(GRID, [{}, {"Fire": True}, {"Cheese": True}])
         status, trace, log = run_to_completion(tree, env, max_trace=10)
         assert status is FAILURE
-        assert log.records[-1]["status"] == "failure"
-        assert all(r["status"] == "running" for r in log.records[:-1])
-        assert len(log.records) == len(trace)
+        assert len(trace) == 2
+        assert env.applied == [None]  # no env step after the failing tick
+        assert tick_statuses(scripted_task_tree(), env.states[:2]) == [RUNNING, FAILURE]

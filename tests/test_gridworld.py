@@ -5,7 +5,7 @@ import pytest
 
 from ppabt.gridworld import (
     DOWN, GridConfig, GridEnv, GridState, LEFT, RIGHT, UP, build_phase_mdp,
-    grid_alphabet, movement_kernel, prop_name, propositions, reward,
+    grid_alphabet, movement_kernel, prop_name, propositions,
     realized_direction, step,
 )
 
@@ -89,21 +89,33 @@ class TestPropositions:
         assert len(grid_alphabet(CFG)) == 16 + 3
 
 
+def entry_reward(cfg, phase, cell, action):
+    """Planner reward for one deterministic move (``cfg.p_in`` is 1.0)."""
+    _, r = build_phase_mdp(cfg, phase)
+    return r[cfg.cell_index(cell), action]
+
+
+DET = GridConfig(p_in=1.0)
+
+
 class TestReward:
     def test_fire_dominates(self):
-        assert reward(GridState(CFG.fire_cell, True), CFG, "C") == CFG.r_fire
-        assert reward(GridState(CFG.fire_cell, True), CFG, "H") == CFG.r_fire
+        # (4, 1) -> Up enters the fire cell (4, 2)
+        assert entry_reward(DET, "C", (4, 1), UP) == DET.r_fire
+        assert entry_reward(DET, "H", (4, 1), UP) == DET.r_fire
 
     def test_ordinary_cell(self):
-        assert reward(GridState((1, 3)), CFG, "C") == CFG.r_other
+        assert entry_reward(DET, "C", (1, 2), UP) == DET.r_other
+        assert entry_reward(DET, "H", (1, 2), UP) == DET.r_other
 
     def test_cheese_phase_goal(self):
-        cfg = GridConfig(r_other=-0.04, r_good=1.0, r_fire=-10.0)
-        assert reward(GridState((2, 2), has_cheese=True), cfg, "C") == 1.0
+        cfg = GridConfig(p_in=1.0, r_other=-0.04, r_good=1.0, r_fire=-10.0)
+        assert entry_reward(cfg, "C", (3, 4), RIGHT) == 1.0
+        assert entry_reward(cfg, "H", (3, 4), RIGHT) == -0.04  # not H's goal
 
-    def test_home_phase_goal_needs_cheese(self):
-        assert reward(GridState(CFG.home_cell, True), CFG, "H") == CFG.r_good
-        assert reward(GridState(CFG.home_cell, False), CFG, "H") == CFG.r_other
+    def test_home_phase_goal(self):
+        assert entry_reward(DET, "H", (3, 2), DOWN) == DET.r_good
+        assert entry_reward(DET, "C", (3, 2), DOWN) == DET.r_other
 
 
 class TestKernel:

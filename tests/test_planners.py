@@ -41,10 +41,17 @@ class TestPolicyIteration:
             assert np.array_equal(pi, pi_ref)
 
     def test_deterministic_world_gives_shortest_path(self):
-        # flat field, fire neutralized: greedy distance-to-goal policy
-        cfg = gw.GridConfig(p_in=1.0, r_other=-0.1, r_good=1.0, r_fire=-0.1,
-                            mdp_fire_absorbing=False)
-        P, r = gw.build_phase_mdp(cfg, "C")
+        # flat field, fire neither absorbing nor penalized: greedy
+        # distance-to-goal policy
+        cfg = gw.GridConfig(p_in=1.0)
+        P = gw.movement_kernel(cfg)
+        g = cfg.cell_index(cfg.cheese_cell)
+        entry = np.full(P.shape[0], -0.1)
+        entry[g] = 1.0
+        P[g] = 0.0
+        P[g, :, g] = 1.0
+        r = P @ entry
+        r[g] = 0.0
         pi, _ = policy_iteration(P, r, gamma=0.9)
         goal = cfg.cheese_cell
         for cell in cfg.cells():
@@ -145,6 +152,10 @@ class TestFeedbackUpdate:
             assert policy.tables["C"]["s"][action] > before[action]
 
 
+def argmax(row):
+    return max(range(4), key=lambda i: (row[i], -i))
+
+
 class TestLearning:
     def test_zero_episodes_returns_uniform(self):
         policy, curve = learn(build_c2h(), gw.GridConfig(),
@@ -158,15 +169,19 @@ class TestLearning:
                             start_cell=(1, 1), p_in=1.0)
         policy, curve = learn(build_c2h(cfg), cfg,
                               LearnerConfig(episodes=50, max_trace=20, seed=3))
-        result = evaluate_policy(build_c2h(cfg), cfg, policy, n_trials=20,
-                                 randomize_start=False, seed=4,
-                                 max_trace=20, sample_mode="best")
+        # one-hot rows on the learned argmax: Policy.sample follows them
+        greedy = Policy(tables={
+            phase: {key: [float(i == argmax(row)) for i in range(4)]
+                    for key, row in table.items()}
+            for phase, table in policy.tables.items()})
+        result = evaluate_policy(build_c2h(cfg), cfg, greedy, n_trials=20,
+                                 randomize_start=False, seed=4, max_trace=20)
         assert result["success_probability"] == 1.0
         # optimal routes: right then up for cheese, down then left for home
-        assert policy.best("1,1", "C") == 3  # Right
-        assert policy.best("2,1", "C") == 0  # Up
-        assert policy.best("2,2", "H") == 1  # Down
-        assert policy.best("2,1", "H") == 2  # Left
+        assert argmax(policy.tables["C"]["1,1"]) == 3  # Right
+        assert argmax(policy.tables["C"]["2,1"]) == 0  # Up
+        assert argmax(policy.tables["H"]["2,2"]) == 1  # Down
+        assert argmax(policy.tables["H"]["2,1"]) == 2  # Left
 
     def test_learning_trend_on_default_grid(self):
         cfg = gw.GridConfig(p_in=0.95, start_cell=(4, 1))
