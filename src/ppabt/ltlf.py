@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator
 
 StateVector = dict[str, bool]
@@ -165,9 +166,9 @@ class Trace:
         if not self.states:
             raise ValueError("empty trace")
         for i, state in enumerate(self.states):
-            if set(state) != self.alphabet:
-                missing = self.alphabet - set(state)
-                extra = set(state) - self.alphabet
+            if state.keys() != self.alphabet:
+                missing = self.alphabet - state.keys()
+                extra = state.keys() - self.alphabet
                 raise ValueError(f"state {i} does not match alphabet "
                                  f"(missing {sorted(missing)}, extra {sorted(extra)})")
 
@@ -180,61 +181,75 @@ def evaluate(formula: Formula, trace: Trace, index: int = 0) -> bool:
 
     Temporal operators quantify over the realized trace positions
     ``index .. len(trace)-1``; ``X`` is strong, false at the last one.
-    Recursion is memoized on (subformula identity, position), giving
-    O(|formula| * |trace|).
+    This is the finite-trace dynamic program of De Giacomo & Vardi: each
+    distinct subformula is evaluated once, bottom-up, to one ``int`` that
+    holds its truth at every position, so each operator costs a few
+    bigint operations over the whole trace.  Recursion follows the
+    formula's depth, never the trace's length.  Every atom other than
+    ``True`` and ``False`` must be in the trace's alphabet, even where
+    its value cannot change the answer.
     """
-    if not 0 <= index < len(trace):
-        raise TraceIndexError(f"index {index} outside trace of length {len(trace)}")
-    memo: dict[tuple[int, int], bool] = {}
-    return _eval(formula, trace, index, memo)
+    n = len(trace.states)
+    if not 0 <= index < n:
+        raise TraceIndexError(f"index {index} outside trace of length {n}")
+    return bool(_bits(formula, trace, (1 << n) - 1, {}) >> (n - 1 - index) & 1)
 
 
-def _eval(f: Formula, trace: Trace, i: int, memo: dict) -> bool:
-    key = (id(f), i)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    states = trace.states
-    last = len(states) - 1
-    if isinstance(f, Atom):
-        if f.name == "True":
-            value = True
-        elif f.name == "False":
-            value = False
-        elif f.name not in trace.alphabet:
-            raise UnknownAtom(f.name)
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bits(f: Formula, trace: Trace, full: int, memo: dict) -> int:
+    """Truth of ``f`` at every position of the trace, as an int whose
+    binary digits read as the trace: the first state is the highest of
+    the ``n`` bits and the last state is bit 0.
+
+    Position ``i + 1`` is then one bit below position ``i``, so ``X`` is
+    a left shift and the carries of an addition run from the end of the
+    trace towards its start, as ``U`` needs.  ``memo`` holds the vectors
+    built so far: compound subformulas by ``id``, atoms by name.
+    """
+    cls = type(f)
+    key = f.name if cls is Atom else id(f)
+    bits = memo.get(key)
+    if bits is not None:
+        return bits
+    if cls is Atom:
+        if key == "True":
+            bits = full
+        elif key == "False":
+            bits = 0
+        elif key not in trace.alphabet:
+            raise UnknownAtom(key)
         else:
-            value = states[i][f.name]
-    elif isinstance(f, Not):
-        value = not _eval(f.child, trace, i, memo)
-    elif isinstance(f, And):
-        value = _eval(f.left, trace, i, memo) and _eval(f.right, trace, i, memo)
-    elif isinstance(f, Or):
-        value = _eval(f.left, trace, i, memo) or _eval(f.right, trace, i, memo)
-    elif isinstance(f, Next):
-        value = i < last and _eval(f.child, trace, i + 1, memo)
-    elif isinstance(f, Until):
-        # rhs now, or lhs now and Until from the next position
-        if _eval(f.right, trace, i, memo):
-            value = True
-        elif i < last and _eval(f.left, trace, i, memo):
-            value = _eval(f, trace, i + 1, memo)
-        else:
-            value = False
-    elif isinstance(f, Finally):
-        if _eval(f.child, trace, i, memo):
-            value = True
-        else:
-            value = _eval(f, trace, i + 1, memo) if i < last else False
-    elif isinstance(f, Globally):
-        if not _eval(f.child, trace, i, memo):
-            value = False
-        else:
-            value = _eval(f, trace, i + 1, memo) if i < last else True
+            column = bytes(map(itemgetter(key), trace.states))
+            bits = int(column.translate(_BIT_CHARS), 2)
+    elif cls is And:
+        bits = _bits(f.left, trace, full, memo) & _bits(f.right, trace, full, memo)
+    elif cls is Or:
+        bits = _bits(f.left, trace, full, memo) | _bits(f.right, trace, full, memo)
+    elif cls is Not:
+        bits = full ^ _bits(f.child, trace, full, memo)
+    elif cls is Next:
+        bits = _bits(f.child, trace, full, memo) << 1 & full
+    elif cls is Finally:
+        # the lowest set bit and every bit above it
+        child = _bits(f.child, trace, full, memo)
+        bits = (child | -child) & full
+    elif cls is Globally:
+        # the unbroken run of set bits that starts at bit 0
+        child = _bits(f.child, trace, full, memo)
+        bits = (child ^ (child + 1)) >> 1
+    elif cls is Until:
+        # Adding b to (a | b) carries into the bit above each b position
+        # and on through a positions: the carry into bit p + 1 is
+        # b[p] | (a[p] & carry into p), the recurrence of ``a U b``.
+        right = _bits(f.right, trace, full, memo)
+        either = _bits(f.left, trace, full, memo) | right
+        bits = ((either + right) ^ either ^ right) >> 1
     else:
         raise TypeError(f"not a formula: {f!r}")
-    memo[key] = value
-    return value
+    memo[key] = bits
+    return bits
 
 
 def compile_prop(formula: Formula) -> Callable[[StateVector], bool]:
@@ -274,9 +289,10 @@ RESERVED_WORDS = frozenset({"U", "F", "G", "X"})
 # The operator count bounds the depth of the tree built, so the canonical
 # text of any parsed formula, which parenthesizes every operand that is
 # not a leaf, parses again.  Parsing costs at most 1 Python frame per
-# operator and 4 per parenthesis, and printing, expansion, compilation
-# and evaluation at most 2 per level of the tree, so input at the limit
-# stays well inside the interpreter's default recursion limit.
+# operator and 4 per parenthesis, printing, expansion and compilation at
+# most 2 per level of the tree, and evaluation 1 per level whatever the
+# trace's length, so input at the limit stays well inside the
+# interpreter's default recursion limit.
 MAX_NESTING = 100
 
 

@@ -38,6 +38,9 @@ from .ltlf import Atom, Formula, Trace, evaluate
 
 # counterexample traces an InclusionReport keeps; all are counted
 MAX_COUNTEREXAMPLES = 25
+# most tasks in one fuzzed mission, and the atoms of the fuzzed corpus
+MAX_FUZZ_TASKS = 3
+FUZZ_ATOMS = ("a", "b", "c")
 
 
 class BoundTooLarge(Exception):
@@ -242,9 +245,9 @@ def _random_task(rng: Random, atoms: list[str], index: int) -> ms.Task:
     ))
 
 
-def random_sound_mission(rng: Random, atoms: list[str],
-                         max_tasks: int = 3) -> ms.MissionExpr:
-    """Random mission within the verified-sound fragment.
+def random_sound_mission(rng: Random, atoms: list[str]) -> ms.MissionExpr:
+    """Random mission of 1 to ``MAX_FUZZ_TASKS`` tasks within the
+    verified-sound fragment.
 
     Every ``or``/``until`` operand is either F-wrapped or a compound of
     such operands, so each task subtree runs in one gap-free window that
@@ -286,7 +289,7 @@ def random_sound_mission(rng: Random, atoms: list[str],
             return certifying(budget)
         return task()
 
-    budget = rng.randint(1, max_tasks)
+    budget = rng.randint(1, MAX_FUZZ_TASKS)
     expr, _ = under_f(budget) if rng.random() < 0.4 else certifying(budget)
     return expr
 
@@ -308,16 +311,15 @@ def counterexample_mission(atoms: list[str]) -> ms.MissionExpr:
     return ms.Or(left, right)
 
 
-def fuzz_corpus_report(n_missions: int, seed: int, bound: int = 5,
-                       atoms: tuple[str, ...] = ("a", "b", "c")) -> dict:
-    """Check a corpus of fuzzed missions; aggregate the reports."""
+def fuzz_corpus_report(n_missions: int, seed: int, bound: int = 5) -> dict:
+    """Check a corpus of missions fuzzed over ``FUZZ_ATOMS``; aggregate the reports."""
     rng = Random(seed)
     total_success = 0
     total_violations = 0
     worst: InclusionReport | None = None
     for _ in range(n_missions):
-        expr = random_sound_mission(rng, list(atoms))
-        report = check_mission(expr, set(atoms), bound,
+        expr = random_sound_mission(rng, list(FUZZ_ATOMS))
+        report = check_mission(expr, set(FUZZ_ATOMS), bound,
                                theta=rng.choice([0, 1, 2]))
         total_success += report.n_bt_success_traces
         total_violations += report.n_violations

@@ -1,5 +1,8 @@
 """Shared test scaffolding: fuzzers, scripted environments, stub nodes."""
 
+import sys
+from contextlib import contextmanager
+
 from ppabt import ltlf
 from ppabt.bt import BtNode, Status
 from ppabt.mission import Task, ppa_task
@@ -10,6 +13,17 @@ def trace_of(alphabet, *rows):
     alphabet = frozenset(alphabet)
     states = [{name: bool(row.get(name, False)) for name in alphabet} for row in rows]
     return ltlf.Trace(states, alphabet)
+
+
+@contextmanager
+def recursion_limit(frames):
+    """Run the block with the interpreter's recursion limit at ``frames``."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def formula_from_json(data, alphabet=frozenset()):

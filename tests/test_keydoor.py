@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import recursion_limit
 from ppabt.keydoor import (
     KeyDoorWorld, Perturbation, STAGES, ScenarioScript, run_baseline_trial,
     run_bt_trial, run_experiment,
@@ -86,6 +87,16 @@ class TestTrials:
                                 perturbation=Perturbation("key"))
         result = run_bt_trial(script)
         assert result["success"] is False
+
+    def test_long_trial_audits_at_default_recursion_limit(self):
+        # a 1,201-state successful trace, audited within 1,000 frames
+        script = ScenarioScript(durations={"key": 400, "door": 400, "prize": 400},
+                                t_task_max=2000, max_trace=2000)
+        with recursion_limit(1000):
+            result = run_bt_trial(script)
+        assert result["success"] is True
+        assert result["sound"] is True
+        assert result["ticks"] == 1201
 
     def test_trials_deterministic(self):
         script = ScenarioScript(perturbation=Perturbation("door"))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import formula_from_json
+from helpers import formula_from_json, recursion_limit
 from ppabt.ltlf import (
     MAX_NESTING, And, Atom, Finally, Globally, Next, Not, Or, ParseError,
     Trace, TraceIndexError, Until, UnknownAtom, atoms_of, compile_prop,
@@ -121,6 +121,45 @@ class TestEvaluate:
         tr = trace_of(AB, {})
         assert evaluate(Atom("True"), tr, 0) is True
         assert evaluate(Atom("False"), tr, 0) is False
+
+
+class TestLongTraces:
+    """Closed-form answers on a 5,000-state trace, with a recursion limit
+    far below the trace's length: the evaluator's stack depth follows
+    the formula, not the trace.
+
+    ``a`` fails only at 1234 and 3000, ``b`` holds only at 2000 and 4000,
+    and ``c`` holds at every position ending in 9, the last one included.
+    """
+
+    N = 5000
+    INDICES = (0, 1233, 1234, 1235, 1999, 2000, 2001, 2999, 3000, 3001,
+               3999, 4000, 4001, 4998, 4999)
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        states = [{"a": i not in (1234, 3000), "b": i in (2000, 4000),
+                   "c": i % 10 == 9} for i in range(self.N)]
+        return Trace(states, frozenset(AB))
+
+    @pytest.mark.parametrize("text, expected", [
+        ("F b", lambda i: i <= 4000),
+        ("G a", lambda i: i > 3000),
+        ("X b", lambda i: i + 1 in (2000, 4000)),
+        ("X c", lambda i: i < 4999 and (i + 1) % 10 == 9),
+        ("U a b", lambda i: 1234 < i <= 2000 or 3000 < i <= 4000),
+        ("U a c", lambda i: not (1230 <= i <= 1234 or i == 3000)),
+        ("G (U a c)", lambda i: i > 3000),
+        ("G F (U a c)", lambda i: True),
+        ("G F (U a b)", lambda i: False),
+        ("F (G (U a c))", lambda i: True),
+        ("U (! b) (& b (X (F b)))", lambda i: i <= 2000),
+    ])
+    def test_closed_form(self, trace, text, expected):
+        formula = parse_ltlf(text, AB)
+        with recursion_limit(200):
+            got = [evaluate(formula, trace, i) for i in self.INDICES]
+        assert got == [expected(i) for i in self.INDICES]
 
 
 class TestTrace:

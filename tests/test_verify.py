@@ -8,7 +8,7 @@ from ppabt.compiler import bind_scripted, compile_mission
 from ppabt.ltlf import Atom, Trace
 from ppabt.mission import MissionConfig, expand_mission, ppa_task
 from ppabt.verify import (
-    BoundTooLarge, audit_trace, check_inclusion, check_mission,
+    MAX_FUZZ_TASKS, BoundTooLarge, audit_trace, check_inclusion, check_mission,
     counterexample_mission, enumerate_language, evaluate_reference,
     fuzz_corpus_report, random_sound_mission, strip_conditions,
 )
@@ -17,19 +17,65 @@ from test_ltlf import random_formula, random_trace
 ABC = {"a", "b", "c"}
 
 
+def assert_evaluators_agree(formula, trace, expected=None):
+    """Both evaluators give the same answer at every index, and it is
+    ``expected(i)`` at index i when that is given."""
+    for i in range(len(trace)):
+        value = ltlf.evaluate(formula, trace, i)
+        assert value == evaluate_reference(formula, trace, i), (formula, i)
+        if expected is not None:
+            assert value == expected(i), (formula, i)
+
+
 class TestReferenceEvaluator:
     def test_agreement_with_main_evaluator(self):
         rng = random.Random(41)
         for _ in range(300):
             formula = random_formula(rng, ["a", "b", "c"], depth=5)
             trace = random_trace(rng, ["a", "b", "c"], 5)
-            for i in range(len(trace)):
-                assert (ltlf.evaluate(formula, trace, i)
-                        == evaluate_reference(formula, trace, i))
+            assert_evaluators_agree(formula, trace)
+
+    def test_agreement_up_to_forty_states(self):
+        rng = random.Random(43)
+        for length in range(1, 41):
+            for _ in range(8):
+                formula = random_formula(rng, ["a", "b", "c"], depth=5)
+                states = [{x: rng.random() < 0.5 for x in "abc"}
+                          for _ in range(length)]
+                assert_evaluators_agree(formula, Trace(states, frozenset(ABC)))
 
     def test_until_quantifier_form(self):
         tr = trace_of(ABC, {"a": True}, {"a": True}, {"b": True})
         assert evaluate_reference(ltlf.Until(Atom("a"), Atom("b")), tr) is True
+
+    def test_until_without_witness(self):
+        tr = trace_of(ABC, *[{"a": True}] * 6)
+        assert_evaluators_agree(ltlf.Until(Atom("a"), Atom("b")), tr, lambda i: False)
+
+    def test_until_witness_only_at_last_state(self):
+        tr = trace_of(ABC, {"a": True}, {}, {"a": True}, {"a": True}, {"b": True})
+        assert_evaluators_agree(ltlf.Until(Atom("a"), Atom("b")), tr,
+                                lambda i: i >= 2)
+
+    def test_globally_on_one_state(self):
+        assert_evaluators_agree(ltlf.Globally(Atom("a")),
+                                trace_of(ABC, {"a": True}), lambda i: True)
+        assert_evaluators_agree(ltlf.Globally(Atom("a")),
+                                trace_of(ABC, {}), lambda i: False)
+
+    def test_next_false_at_last_position(self):
+        tr = trace_of(ABC, *[{"a": True}] * 4)
+        assert_evaluators_agree(ltlf.Next(Atom("a")), tr, lambda i: i < 3)
+        assert_evaluators_agree(ltlf.Next(ltlf.TRUE), tr, lambda i: i < 3)
+
+    @pytest.mark.parametrize("formula", [
+        ltlf.Or(ltlf.TRUE, Atom("zz")),
+        ltlf.And(ltlf.FALSE, Atom("zz")),
+    ], ids=["or-true", "and-false"])
+    def test_unknown_atom_raises_even_when_it_cannot_matter(self, formula):
+        tr = trace_of(ABC, {"a": True})
+        with pytest.raises(ltlf.UnknownAtom):
+            ltlf.evaluate(formula, tr)
 
 
 class TestAuditTrace:
@@ -132,8 +178,8 @@ class TestSoundFragment:
     def test_fuzzer_respects_task_budget(self):
         rng = random.Random(52)
         for _ in range(100):
-            expr = random_sound_mission(rng, ["a", "b", "c"], max_tasks=3)
-            assert 1 <= len(ms.tasks_of(expr)) <= 3
+            expr = random_sound_mission(rng, ["a", "b", "c"])
+            assert 1 <= len(ms.tasks_of(expr)) <= MAX_FUZZ_TASKS
 
     def test_bare_or_right_task_is_outside_the_fragment(self):
         # A late-started task whose constraint window was never watched:
