@@ -8,21 +8,18 @@ from .mission import (
     MissionConfig, MissionExpr, PpaTaskSpec, expand_mission, expand_task,
     parse_mission, ppa_task,
 )
-from .bt import (
-    Blackboard, BtNode, EpisodeLog, MissionRunner, Status, export_dot,
-    run_to_completion,
-)
+from .bt import BtNode, MissionRunner, Status, export_dot, run_to_completion
 from .compiler import ActionRunner, bind_actions, compile_mission, compile_task
-from .verify import audit_trace, check_inclusion, enumerate_language
+from .verify import audit_trace, check_inclusion
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionRunner", "And", "Atom", "Blackboard", "BtNode", "EpisodeLog",
-    "Finally", "Formula", "Globally", "MissionConfig", "MissionExpr",
-    "MissionRunner", "Next", "Not", "Or", "PpaTaskSpec", "Status", "Trace",
-    "Until", "audit_trace", "bind_actions", "check_inclusion",
-    "compile_mission", "compile_task", "enumerate_language", "evaluate",
-    "expand_mission", "expand_task", "export_dot", "format_formula",
-    "parse_ltlf", "parse_mission", "ppa_task", "run_to_completion",
+    "ActionRunner", "And", "Atom", "BtNode", "Finally", "Formula",
+    "Globally", "MissionConfig", "MissionExpr", "MissionRunner", "Next",
+    "Not", "Or", "PpaTaskSpec", "Status", "Trace", "Until", "audit_trace",
+    "bind_actions", "check_inclusion", "compile_mission", "compile_task",
+    "evaluate", "expand_mission", "expand_task", "export_dot",
+    "format_formula", "parse_ltlf", "parse_mission", "ppa_task",
+    "run_to_completion",
 ]

@@ -1,15 +1,16 @@
-"""Behavior-tree engine: tri-state nodes, blackboard memory, tick loop.
+"""Behavior-tree engine: tri-state nodes, a mission runner, tick loop.
 
 Control nodes are reactive: sequence and selector re-evaluate their
 children from the left on every tick, parallel ticks all children.
-Conditions never return Running.  Per-node memory (latches, reset
-counters, success history) lives in the blackboard keyed by node id so
-a whole execution can be snapshotted and restored.
+Conditions never return Running.  The ``MissionRunner`` is the tick
+context: every node ticks against it and reads the current state, the
+tick counter and the random source from it.  It also owns the node
+memory (latches, reset counters, success history), a plain dict keyed
+by node id, so a whole execution can be snapshotted and restored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
 from typing import Callable, Iterator
@@ -43,44 +44,6 @@ class ConcurrentActionConflict(BtError):
     """Two action nodes tried to drive the environment in one tick."""
 
 
-class Blackboard:
-    """Per-node memory keyed by node id."""
-
-    def __init__(self):
-        self.node_memory: dict[int, dict] = {}
-
-    def mem(self, node_id: int) -> dict:
-        mem = self.node_memory.get(node_id)
-        if mem is None:
-            mem = self.node_memory[node_id] = {}
-        return mem
-
-    def snapshot(self) -> dict:
-        return {nid: dict(m) for nid, m in self.node_memory.items()}
-
-    def restore(self, snap: dict) -> None:
-        self.node_memory = {nid: dict(m) for nid, m in snap.items()}
-
-
-class TickContext:
-    __slots__ = ("state", "t", "blackboard", "rng", "pending", "resets")
-
-    def __init__(self, state: StateVector, t: int, blackboard: Blackboard,
-                 rng: Random | None = None):
-        self.state = state
-        self.t = t
-        self.blackboard = blackboard
-        self.rng = rng
-        self.pending: tuple[str, object] | None = None
-        self.resets: list[int] = []
-
-    def request_action(self, binding: str, env_action) -> None:
-        if self.pending is not None:
-            raise ConcurrentActionConflict(
-                f"{binding!r} and {self.pending[0]!r} both fired at tick {self.t}")
-        self.pending = (binding, env_action)
-
-
 # ---------------------------------------------------------------------------
 # Nodes
 
@@ -92,7 +55,7 @@ class BtNode:
     def __init__(self):
         self.id = 0
 
-    def tick(self, ctx: TickContext) -> Status:
+    def tick(self, ctx: MissionRunner) -> Status:
         raise NotImplementedError
 
     def children_nodes(self) -> list["BtNode"]:
@@ -190,7 +153,7 @@ class PreconditionLatch(DecoratorNode):
     kind = "precondition_latch"
 
     def tick(self, ctx):
-        mem = ctx.blackboard.mem(self.id)
+        mem = ctx.mem(self.id)
         if mem.get("latched"):
             return SUCCESS
         status = self.child.tick(ctx)
@@ -215,7 +178,7 @@ class FinallyReset(DecoratorNode):
         self.theta = theta
 
     def tick(self, ctx):
-        mem = ctx.blackboard.mem(self.id)
+        mem = ctx.mem(self.id)
         if mem.get("succeeded"):
             return SUCCESS
         status = self.child.tick(ctx)
@@ -227,7 +190,6 @@ class FinallyReset(DecoratorNode):
             if used < self.theta:
                 mem["resets"] = used + 1
                 reset_descendant_decorators(self.child, ctx.blackboard)
-                ctx.resets.append(self.id)
                 return RUNNING
             return FAILURE
         return RUNNING
@@ -275,7 +237,7 @@ def assign_ids(tree: BtNode) -> BtNode:
     return tree
 
 
-def reset_descendant_decorators(node: BtNode, blackboard: Blackboard) -> None:
+def reset_descendant_decorators(node: BtNode, memory: dict[int, dict]) -> None:
     """Clear latches, success history and action progress in a subtree.
 
     Reset counters are lifetime memory and survive: a Finally decorator
@@ -283,7 +245,7 @@ def reset_descendant_decorators(node: BtNode, blackboard: Blackboard) -> None:
     ancestor resets it.
     """
     for n in iter_nodes(node):
-        mem = blackboard.node_memory.get(n.id)
+        mem = memory.get(n.id)
         if not mem:
             continue
         resets = mem.get("resets")
@@ -295,71 +257,70 @@ def reset_descendant_decorators(node: BtNode, blackboard: Blackboard) -> None:
 # ---------------------------------------------------------------------------
 # Execution
 
-@dataclass
-class EpisodeLog:
-    """Resets issued per Finally decorator id over one execution."""
-
-    reset_counts: dict[int, int] = field(default_factory=dict)
-
-    def total_resets(self) -> int:
-        return sum(self.reset_counts.values())
-
-
 class MissionRunner:
-    """Owns one execution: blackboard, tick counter, recorded trace.
+    """One execution, and the context every node ticks against.
 
-    Each tick evaluates the whole tree against one state vector.  The
-    reserved ``__action_*`` propositions are appended to the state from
-    the bound runners' postconditions before the tree sees it.
+    Holds the current ``state``, the tick counter ``t``, ``rng``, the
+    ``pending`` environment action, the trace and the node memory
+    ``blackboard`` (node id -> dict).  The reserved ``__action_*``
+    propositions are appended to each state from the bound runners'
+    postconditions before the tree sees it.
     """
 
     def __init__(self, tree: BtNode, rng: Random | None = None):
         self.tree = tree
         self.rng = rng if rng is not None else Random(0)
-        self.blackboard = Blackboard()
+        self.blackboard: dict[int, dict] = {}
+        self.state: StateVector = {}
         self.t = 0
         self.trace_states: list[StateVector] = []
-        self.log = EpisodeLog()
         self.pending: tuple[str, object] | None = None
-        self._action_props: list[tuple[str, Callable[[StateVector], bool]]] = []
-        seen = set()
+        self._action_props: dict[str, Callable[[StateVector], bool]] = {}
         for node in iter_nodes(tree):
             if isinstance(node, Action) and node.runner is not None:
-                name = ACTION_PREFIX + node.binding
-                if name not in seen:
-                    seen.add(name)
-                    self._action_props.append((name, node.runner.post_fn))
+                self._action_props.setdefault(ACTION_PREFIX + node.binding,
+                                              node.runner.post_fn)
 
     def augment(self, env_state: StateVector) -> StateVector:
         state = dict(env_state)
-        for name, post_fn in self._action_props:
+        for name, post_fn in self._action_props.items():
             state[name] = post_fn(env_state)
         return state
 
+    def mem(self, node_id: int) -> dict:
+        mem = self.blackboard.get(node_id)
+        if mem is None:
+            mem = self.blackboard[node_id] = {}
+        return mem
+
+    def request_action(self, binding: str, env_action) -> None:
+        if self.pending is not None:
+            raise ConcurrentActionConflict(
+                f"{binding!r} and {self.pending[0]!r} both fired at tick {self.t}")
+        self.pending = (binding, env_action)
+
     def tick_once(self, env_state: StateVector) -> Status:
-        state = self.augment(env_state)
-        self.trace_states.append(state)
-        ctx = TickContext(state, self.t, self.blackboard, self.rng)
-        status = self.tree.tick(ctx)
-        self.pending = ctx.pending
-        for nid in ctx.resets:
-            self.log.reset_counts[nid] = self.log.reset_counts.get(nid, 0) + 1
+        self.state = self.augment(env_state)
+        self.trace_states.append(self.state)
+        self.pending = None
+        status = self.tree.tick(self)
         self.t += 1
         return status
 
-    def snapshot(self) -> dict:
-        return {
-            "bb": self.blackboard.snapshot(),
-            "t": self.t,
-            "n_states": len(self.trace_states),
-            "resets": dict(self.log.reset_counts),
-        }
+    def total_resets(self) -> int:
+        """Resets issued so far, read from the Finally decorators' memory."""
+        return sum(self.blackboard.get(n.id, {}).get("resets", 0)
+                   for n in iter_nodes(self.tree) if isinstance(n, FinallyReset))
 
-    def restore(self, snap: dict) -> None:
-        self.blackboard.restore(snap["bb"])
-        self.t = snap["t"]
-        del self.trace_states[snap["n_states"]:]
-        self.log.reset_counts = dict(snap["resets"])
+    def snapshot(self) -> tuple[dict[int, dict], int, int]:
+        """Node memory, tick counter and trace length; reset counters included."""
+        memory = {nid: dict(m) for nid, m in self.blackboard.items()}
+        return memory, self.t, len(self.trace_states)
+
+    def restore(self, snap: tuple[dict[int, dict], int, int]) -> None:
+        memory, self.t, n_states = snap
+        self.blackboard = {nid: dict(m) for nid, m in memory.items()}
+        del self.trace_states[n_states:]
 
 
 def run_to_completion(tree: BtNode, env, max_trace: int,
@@ -372,7 +333,7 @@ def run_to_completion(tree: BtNode, env, max_trace: int,
     or when the trace reaches ``max_trace`` states (reported as
     Failure: the formula was not satisfied within the bound).
 
-    Returns (status, trace_states, episode_log).
+    Returns (status, trace_states, runner).
     """
     runner = MissionRunner(tree, rng=rng)
     while True:
@@ -383,7 +344,7 @@ def run_to_completion(tree: BtNode, env, max_trace: int,
             status = FAILURE
             break
         env.apply(runner.pending[1] if runner.pending else None)
-    return status, runner.trace_states, runner.log
+    return status, runner.trace_states, runner
 
 
 # ---------------------------------------------------------------------------

@@ -180,12 +180,13 @@ def cmd_learn(args) -> int:
             lcfg = LearnerConfig(episodes=args.episodes,
                                  max_trace=args.max_trace,
                                  mu=args.discount, seed=run_seed)
-            policy, curve = learn(build_c2h(grid), grid, lcfg)
+            expr = build_c2h(grid)
+            policy, curve = learn(expr, grid, lcfg)
             if policy_out is None:
                 policy_out = policy
             learning_success = (sum(r["status"] == "success" for r in curve)
                                 / len(curve)) if curve else 0.0
-            infer = evaluate_policy(build_c2h(grid), grid, policy,
+            infer = evaluate_policy(expr, grid, policy,
                                     n_trials=args.trials,
                                     randomize_start=True,
                                     seed=run_seed + 1,

@@ -24,9 +24,9 @@ from typing import Callable
 
 from . import mission as ms
 from .bt import (
-    Action, BtNode, Condition, FAILURE, FinallyReset, MissionRoot, Parallel,
-    PreconditionLatch, RUNNING, SUCCESS, Selector, Sequence, Status,
-    TaskBoundary, TickContext, UnboundAction, assign_ids, iter_nodes,
+    Action, BtNode, Condition, FAILURE, FinallyReset, MissionRoot,
+    MissionRunner, Parallel, PreconditionLatch, RUNNING, SUCCESS, Selector,
+    Sequence, Status, TaskBoundary, UnboundAction, assign_ids, iter_nodes,
 )
 from .ltlf import Formula, StateVector, compile_prop
 
@@ -50,13 +50,13 @@ class ActionRunner:
         self.choose = choose
         self.post_fn = compile_prop(postcondition)
 
-    def tick(self, ctx: TickContext, node_id: int) -> Status:
+    def tick(self, ctx: MissionRunner, node_id: int) -> Status:
         if self.post_fn(ctx.state):
             return SUCCESS if ctx.t <= self.t_task_max else FAILURE
         if ctx.t >= self.t_task_max:
             return FAILURE
         if self.choose is not None:
-            env_action = self.choose(ctx.state, ctx.blackboard.mem(node_id), ctx.rng)
+            env_action = self.choose(ctx.state, ctx.mem(node_id), ctx.rng)
             if env_action is not None:
                 ctx.request_action(self.binding, env_action)
         return RUNNING

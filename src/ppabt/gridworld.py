@@ -119,7 +119,6 @@ class GridEnv:
         self.rng = rng if rng is not None else Random(cfg.seed)
         cell = start_cell if start_cell is not None else cfg.start_cell
         self.state = GridState(cell, has_cheese=cell == cfg.cheese_cell)
-        self.alphabet = grid_alphabet(cfg)
 
     def propositions(self) -> dict[str, bool]:
         return propositions(self.state, self.cfg)

@@ -84,7 +84,6 @@ class KeyDoorWorld:
         self.progress = {s: 0 for s in STAGES}
         self.perturbation_fired = False
         self._restore: list[tuple[str, bool]] = []
-        self.alphabet = KEYDOOR_ATOMS
 
     def propositions(self) -> dict[str, bool]:
         return dict(self.props)
@@ -150,8 +149,8 @@ def run_bt_trial(script: ScenarioScript) -> dict:
                                             cfg.t_task_max, choose)
     bind_actions(tree, runners)
     world = KeyDoorWorld(script)
-    status, trace_states, log = bt.run_to_completion(tree, world,
-                                                     script.max_trace)
+    status, trace_states, runner = bt.run_to_completion(tree, world,
+                                                        script.max_trace)
     success = status is bt.SUCCESS
     sound = True
     if success:
@@ -160,7 +159,7 @@ def run_bt_trial(script: ScenarioScript) -> dict:
         sound = evaluate(expand_mission(expr), trace, 0)
     return {"mode": "bt", "success": success, "ticks": len(trace_states),
             "failed_stage": None if success else _failed_stage(world),
-            "resets": log.total_resets(), "sound": sound}
+            "resets": runner.total_resets(), "sound": sound}
 
 
 def _failed_stage(world: KeyDoorWorld) -> str:

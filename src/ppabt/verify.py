@@ -20,8 +20,9 @@ nobody checked.  Wrapping the operand in ``F`` re-anchors satisfaction at
 the tick its decorator (re)starts the subtree, which closes those gaps as
 long as conjunctions stay over plain tasks.  ``random_sound_mission``
 fuzzes within that fragment (the shape of every mission the experiments
-use); ``counterexample_mission`` builds a grammar-legal mission outside
-it whose violations the checker demonstrably finds.
+use); the test suite keeps a grammar-legal mission outside it
+(``counterexample_mission`` in ``tests/helpers.py``) whose violations the
+checker demonstrably finds.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def evaluate_reference(formula: Formula, trace: Trace, index: int = 0) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Trace auditing and language enumeration
+# Trace auditing
 
 def audit_trace(formula: Formula, trace: Trace, status: bt.Status) -> bool:
     """Success must imply satisfaction; failed runs carry no obligation."""
@@ -102,25 +103,6 @@ def _guard(alphabet, max_len: int) -> list[str]:
         raise BoundTooLarge(
             f"{len(names)} atoms x length {max_len} is past the enumeration guard")
     return names
-
-
-def enumerate_language(formula: Formula, alphabet, max_len: int,
-                       evaluator=evaluate) -> set[tuple]:
-    """All traces over the alphabet, length 1..max_len, satisfying the formula.
-
-    Traces are returned as tuples of valuation tuples in sorted-atom
-    order.  Guarded to |alphabet| <= 5 and max_len <= 6.
-    """
-    names = _guard(alphabet, max_len)
-    alpha = frozenset(names)
-    rows = list(itertools.product((False, True), repeat=len(names)))
-    found = set()
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(rows, repeat=length):
-            states = [dict(zip(names, row)) for row in combo]
-            if evaluator(formula, Trace(states, alpha), 0):
-                found.add(combo)
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -292,23 +274,6 @@ def random_sound_mission(rng: Random, atoms: list[str]) -> ms.MissionExpr:
     budget = rng.randint(1, MAX_FUZZ_TASKS)
     expr, _ = under_f(budget) if rng.random() < 0.4 else certifying(budget)
     return expr
-
-
-def counterexample_mission(atoms: list[str]) -> ms.MissionExpr:
-    """A grammar-legal mission outside the sound fragment.
-
-    The or's right task carries a task constraint; if the left task runs
-    for a while and then fails, the right task starts late and can
-    succeed on a stream whose early ticks already broke that constraint.
-    """
-    a, b, c = atoms[0], atoms[1], atoms[2]
-    left = ms.Task(ms.PpaTaskSpec(
-        name="left", poc=Atom(a), prc=ltlf.TRUE, gc=Atom(b), tc=ltlf.TRUE,
-        action="left"))
-    right = ms.Task(ms.PpaTaskSpec(
-        name="right", poc=Atom(c), prc=ltlf.TRUE, gc=ltlf.TRUE, tc=Atom(a),
-        action="right"))
-    return ms.Or(left, right)
 
 
 def fuzz_corpus_report(n_missions: int, seed: int, bound: int = 5) -> dict:

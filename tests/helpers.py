@@ -1,11 +1,14 @@
-"""Shared test scaffolding: fuzzers, scripted environments, stub nodes."""
+"""Shared test scaffolding: fuzzers, scripted environments, stub nodes,
+language enumeration and a mission outside the sound fragment."""
 
+import itertools
 import sys
 from contextlib import contextmanager
 
-from ppabt import ltlf
+from ppabt import ltlf, mission as ms
 from ppabt.bt import BtNode, Status
 from ppabt.mission import Task, ppa_task
+from ppabt.verify import _guard
 
 
 def trace_of(alphabet, *rows):
@@ -122,3 +125,41 @@ def derive_task_literal(rng, counter, alphabet):
 
     return (f"task({name}, post={prop()}, pre={prop()}, gc={prop()}, "
             f"tc={prop()}, action=act{counter[0]})")
+
+
+# ---------------------------------------------------------------------------
+# Language enumeration and a mission outside the sound fragment
+
+def enumerate_language(formula, alphabet, max_len, evaluator=ltlf.evaluate):
+    """All traces over the alphabet, length 1..max_len, satisfying the formula.
+
+    Traces are returned as tuples of valuation tuples in sorted-atom
+    order.  Guarded to |alphabet| <= 5 and max_len <= 6.
+    """
+    names = _guard(alphabet, max_len)
+    alpha = frozenset(names)
+    rows = list(itertools.product((False, True), repeat=len(names)))
+    found = set()
+    for length in range(1, max_len + 1):
+        for combo in itertools.product(rows, repeat=length):
+            states = [dict(zip(names, row)) for row in combo]
+            if evaluator(formula, ltlf.Trace(states, alpha), 0):
+                found.add(combo)
+    return found
+
+
+def counterexample_mission(atoms):
+    """A grammar-legal mission outside the sound fragment.
+
+    The or's right task carries a task constraint; if the left task runs
+    for a while and then fails, the right task starts late and can
+    succeed on a stream whose early ticks already broke that constraint.
+    """
+    a, b, c = atoms[0], atoms[1], atoms[2]
+    left = Task(ms.PpaTaskSpec(
+        name="left", poc=ltlf.Atom(a), prc=ltlf.TRUE, gc=ltlf.Atom(b),
+        tc=ltlf.TRUE, action="left"))
+    right = Task(ms.PpaTaskSpec(
+        name="right", poc=ltlf.Atom(c), prc=ltlf.TRUE, gc=ltlf.TRUE,
+        tc=ltlf.Atom(a), action="right"))
+    return ms.Or(left, right)

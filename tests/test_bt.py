@@ -6,11 +6,11 @@ import pytest
 from helpers import StaticEnv, StubNode
 from ppabt import ltlf
 from ppabt.bt import (
-    Action, Blackboard, Condition, ConcurrentActionConflict, FAILURE,
-    FinallyReset, MissionRoot, MissionRunner, Parallel, PreconditionLatch,
-    RUNNING, SUCCESS, Selector, Sequence, TaskBoundary, TickContext,
-    UnboundAction, assign_ids, bt_to_json, export_dot, iter_nodes, node_count,
-    reset_descendant_decorators, run_to_completion,
+    Action, Condition, ConcurrentActionConflict, FAILURE, FinallyReset,
+    MissionRoot, MissionRunner, Parallel, PreconditionLatch, RUNNING, SUCCESS,
+    Selector, Sequence, TaskBoundary, UnboundAction, assign_ids, bt_to_json,
+    export_dot, iter_nodes, node_count, reset_descendant_decorators,
+    run_to_completion,
 )
 from ppabt.compiler import ActionRunner, bind_actions, bind_scripted, compile_mission, compile_task
 from ppabt.mission import MissionConfig, parse_mission, ppa_task
@@ -18,9 +18,12 @@ from ppabt.mission import MissionConfig, parse_mission, ppa_task
 A = ltlf.Atom
 
 
-def tick_tree(tree, state, blackboard=None, t=0):
-    ctx = TickContext(state, t, blackboard or Blackboard())
-    return tree.tick(ctx), ctx
+def tick_tree(tree, state, runner=None, t=0):
+    """Tick ``tree`` once at ``state`` and tick ``t``, against ``runner``
+    (a fresh ``MissionRunner(tree)`` unless one is passed to keep memory)."""
+    runner = runner if runner is not None else MissionRunner(tree)
+    runner.state, runner.t, runner.pending = state, t, None
+    return tree.tick(runner), runner
 
 
 def tick_statuses(tree, rows):
@@ -105,48 +108,49 @@ class TestDecorators:
     def test_precondition_latch_remembers_success(self):
         latch = PreconditionLatch(Condition(A("p")))
         assign_ids(latch)
-        bb = Blackboard()
-        assert tick_tree(latch, {"p": False}, bb)[0] is FAILURE
-        assert tick_tree(latch, {"p": True}, bb)[0] is SUCCESS
-        assert tick_tree(latch, {"p": False}, bb)[0] is SUCCESS  # latched
+        runner = MissionRunner(latch)
+        assert tick_tree(latch, {"p": False}, runner)[0] is FAILURE
+        assert tick_tree(latch, {"p": True}, runner)[0] is SUCCESS
+        assert tick_tree(latch, {"p": False}, runner)[0] is SUCCESS  # latched
 
     def test_latch_cleared_by_reset(self):
         latch = PreconditionLatch(Condition(A("p")))
         assign_ids(latch)
-        bb = Blackboard()
-        tick_tree(latch, {"p": True}, bb)
-        reset_descendant_decorators(latch, bb)
-        assert tick_tree(latch, {"p": False}, bb)[0] is FAILURE
+        runner = MissionRunner(latch)
+        tick_tree(latch, {"p": True}, runner)
+        reset_descendant_decorators(latch, runner.blackboard)
+        assert tick_tree(latch, {"p": False}, runner)[0] is FAILURE
 
     def test_finally_reset_latches_success_without_reticking(self):
         child = StubNode([SUCCESS])
         node = assign_ids(FinallyReset(child, theta=1))
-        bb = Blackboard()
-        assert tick_tree(node, {}, bb)[0] is SUCCESS
-        assert tick_tree(node, {}, bb)[0] is SUCCESS
+        runner = MissionRunner(node)
+        assert tick_tree(node, {}, runner)[0] is SUCCESS
+        assert tick_tree(node, {}, runner)[0] is SUCCESS
         assert child.ticks == 1
 
     def test_finally_reset_zero_budget_fails_immediately(self):
         node = assign_ids(FinallyReset(StubNode([FAILURE]), theta=0))
-        assert tick_tree(node, {}, Blackboard())[0] is FAILURE
+        assert tick_tree(node, {})[0] is FAILURE
 
     def test_finally_reset_retry_budget(self):
         child = StubNode([FAILURE, FAILURE, FAILURE])
         node = assign_ids(FinallyReset(child, theta=2))
-        bb = Blackboard()
-        assert tick_tree(node, {}, bb)[0] is RUNNING   # reset 1
-        assert tick_tree(node, {}, bb)[0] is RUNNING   # reset 2
-        assert tick_tree(node, {}, bb)[0] is FAILURE   # budget spent
-        assert bb.mem(node.id)["resets"] == 2
+        runner = MissionRunner(node)
+        assert tick_tree(node, {}, runner)[0] is RUNNING   # reset 1
+        assert tick_tree(node, {}, runner)[0] is RUNNING   # reset 2
+        assert tick_tree(node, {}, runner)[0] is FAILURE   # budget spent
+        assert runner.mem(node.id)["resets"] == 2
+        assert runner.total_resets() == 2
 
     def test_reset_counter_survives_ancestor_reset(self):
         inner = FinallyReset(StubNode([FAILURE]), theta=1)
         outer = assign_ids(FinallyReset(inner, theta=5))
-        bb = Blackboard()
+        runner = MissionRunner(outer)
         # inner consumes its only reset, then fails; outer resets it
         for _ in range(3):
-            tick_tree(outer, {}, bb)
-        assert bb.mem(inner.id)["resets"] == 1  # not re-armed
+            tick_tree(outer, {}, runner)
+        assert runner.mem(inner.id)["resets"] == 1  # not re-armed
 
     def test_ancestor_reset_clears_descendant_memory(self):
         # inner Finally: one reset on tick 0, plan memory on tick 1, success
@@ -157,29 +161,31 @@ class TestDecorators:
         inner = FinallyReset(Sequence([Condition(A("ok")), act]), theta=2)
         outer = assign_ids(FinallyReset(Sequence([inner, StubNode([FAILURE])]), theta=1))
         runner = MissionRunner(outer)
-        bb = runner.blackboard
         assert runner.tick_once({"ok": False, "done": False}) is RUNNING
         assert runner.tick_once({"ok": True, "done": False}) is RUNNING
-        assert bb.mem(act.id) == {"plan": "go"}
+        assert runner.mem(act.id) == {"plan": "go"}
         snap = runner.snapshot()
         assert runner.tick_once({"ok": True, "done": True}) is RUNNING
-        assert bb.mem(act.id) == {}                  # plan memory cleared
-        assert bb.mem(inner.id) == {"resets": 1}     # success cleared, counter kept
-        assert runner.log.reset_counts == {inner.id: 1, outer.id: 1}
-        runner.restore(snap)
-        assert runner.log.reset_counts == {inner.id: 1}
-        assert bb.mem(act.id) == {"plan": "go"}
+        assert runner.mem(act.id) == {}                  # plan memory cleared
+        assert runner.mem(inner.id) == {"resets": 1}     # success cleared, counter kept
+        assert runner.mem(outer.id) == {"resets": 1}
+        assert runner.total_resets() == 2
+        runner.restore(snap)                             # the counters come back too
+        assert runner.mem(outer.id) == {}
+        assert runner.mem(inner.id)["resets"] == 1
+        assert runner.total_resets() == 1
+        assert runner.mem(act.id) == {"plan": "go"}
 
     def test_mission_root_time_budget(self):
         node = assign_ids(MissionRoot(StubNode([RUNNING]), t_task_max=2))
-        bb = Blackboard()
-        assert tick_tree(node, {}, bb, t=0)[0] is RUNNING
-        assert tick_tree(node, {}, bb, t=1)[0] is RUNNING
-        assert tick_tree(node, {}, bb, t=2)[0] is FAILURE
+        runner = MissionRunner(node)
+        assert tick_tree(node, {}, runner, t=0)[0] is RUNNING
+        assert tick_tree(node, {}, runner, t=1)[0] is RUNNING
+        assert tick_tree(node, {}, runner, t=2)[0] is FAILURE
 
     def test_mission_root_allows_success_at_boundary(self):
         node = assign_ids(MissionRoot(StubNode([SUCCESS]), t_task_max=2))
-        assert tick_tree(node, {}, Blackboard(), t=2)[0] is SUCCESS
+        assert tick_tree(node, {}, t=2)[0] is SUCCESS
 
     def test_task_boundary_passthrough(self):
         for s in (SUCCESS, FAILURE, RUNNING):
@@ -238,9 +244,9 @@ class TestRunToCompletion:
         # fails at tick 1 (Fire), resets, then the post comes true
         tree = scripted_task_tree(theta=1)
         env = StaticEnv(GRID, [{}, {"Fire": True}, {}, {"Cheese": True}])
-        status, trace, log = run_to_completion(tree, env, max_trace=10)
+        status, trace, runner = run_to_completion(tree, env, max_trace=10)
         assert status is SUCCESS
-        assert log.total_resets() == 1
+        assert runner.total_resets() == 1
         assert tick_statuses(scripted_task_tree(theta=1), env.states) == \
             [RUNNING, RUNNING, RUNNING, SUCCESS]
 
@@ -249,9 +255,9 @@ class TestRunToCompletion:
         tree = scripted_task_tree(theta=2)
         env = StaticEnv(GRID, [{}, {"Fire": True}, {}, {"Fire": True},
                                {}, {"Fire": True}])
-        status, trace, log = run_to_completion(tree, env, max_trace=10)
+        status, trace, runner = run_to_completion(tree, env, max_trace=10)
         assert status is FAILURE
-        assert log.total_resets() == 2
+        assert runner.total_resets() == 2
         assert tick_statuses(scripted_task_tree(theta=2), env.states) == \
             [RUNNING] * 5 + [FAILURE]
 
@@ -277,14 +283,23 @@ class TestRunToCompletion:
         assert trace[0]["__action_t"] is False
         assert trace[1]["__action_t"] is True
 
+    def test_execution_halts_at_first_terminal_status(self):
+        tree = scripted_task_tree()
+        env = StaticEnv(GRID, [{}, {"Fire": True}, {"Cheese": True}])
+        status, trace, _ = run_to_completion(tree, env, max_trace=10)
+        assert status is FAILURE
+        assert len(trace) == 2
+        assert env.applied == [None]  # no env step after the failing tick
+        assert tick_statuses(scripted_task_tree(), env.states[:2]) == [RUNNING, FAILURE]
+
     def test_determinism(self):
         runs = []
         for _ in range(2):
             tree = scripted_task_tree(theta=1)
             env = StaticEnv(GRID, [{}, {"Fire": True}, {}, {"Cheese": True}])
-            status, trace, log = run_to_completion(tree, env, max_trace=10,
-                                                   rng=random.Random(5))
-            runs.append((status, trace, env.applied, log.reset_counts))
+            status, trace, runner = run_to_completion(tree, env, max_trace=10,
+                                                      rng=random.Random(5))
+            runs.append((status, trace, env.applied, runner.blackboard))
         assert runs[0] == runs[1]
 
 
@@ -314,12 +329,12 @@ class TestActionContract:
             run_to_completion(tree, env, max_trace=5)
 
     def test_runner_success_requires_post_within_budget(self):
-        runner = ActionRunner("x", A("p"), t_task_max=3)
-        bb = Blackboard()
-        assert runner.tick(TickContext({"p": True}, 3, bb), 0) is SUCCESS
-        assert runner.tick(TickContext({"p": True}, 4, bb), 0) is FAILURE
-        assert runner.tick(TickContext({"p": False}, 2, bb), 0) is RUNNING
-        assert runner.tick(TickContext({"p": False}, 3, bb), 0) is FAILURE
+        act = assign_ids(Action("x"))
+        act.runner = ActionRunner("x", A("p"), t_task_max=3)
+        assert tick_tree(act, {"p": True}, t=3)[0] is SUCCESS
+        assert tick_tree(act, {"p": True}, t=4)[0] is FAILURE
+        assert tick_tree(act, {"p": False}, t=2)[0] is RUNNING
+        assert tick_tree(act, {"p": False}, t=3)[0] is FAILURE
 
 
 class TestSerialization:
@@ -366,7 +381,7 @@ class TestSerialization:
         assert status is SUCCESS
 
 
-class TestEpisodeLog:
+class TestResetCounts:
     def test_reset_counted_on_its_tick(self):
         tree = scripted_task_tree(theta=1)
         runner = MissionRunner(tree)
@@ -375,14 +390,32 @@ class TestEpisodeLog:
         for t, state in enumerate(env.states):
             runner.tick_once(state)
             assert runner.t == len(runner.trace_states) == t + 1
-            counts.append(runner.log.total_resets())
+            counts.append(runner.total_resets())
         assert counts == [0, 1, 1, 1]  # the Fire tick reset the task
 
-    def test_execution_halts_at_first_terminal_status(self):
-        tree = scripted_task_tree()
-        env = StaticEnv(GRID, [{}, {"Fire": True}, {"Cheese": True}])
-        status, trace, log = run_to_completion(tree, env, max_trace=10)
-        assert status is FAILURE
-        assert len(trace) == 2
-        assert env.applied == [None]  # no env step after the failing tick
-        assert tick_statuses(scripted_task_tree(), env.states[:2]) == [RUNNING, FAILURE]
+    def test_restore_brings_counters_back_on_every_branch(self):
+        # check_inclusion's pattern: one snapshot, restored once per branch
+        tree = scripted_task_tree(theta=1)
+        runner = MissionRunner(tree)
+        assert runner.tick_once({"Cheese": False, "Fire": False, "Home": False}) is RUNNING
+        snap = runner.snapshot()
+        for _ in range(2):
+            assert runner.tick_once({"Cheese": False, "Fire": True, "Home": False}) is RUNNING
+            assert runner.total_resets() == 1
+            runner.restore(snap)
+            assert runner.total_resets() == 0
+            assert runner.tick_once({"Cheese": True, "Fire": False, "Home": False}) is SUCCESS
+            assert runner.total_resets() == 0
+            runner.restore(snap)
+        assert (runner.t, len(runner.trace_states)) == (1, 1)
+
+    def test_only_finally_counters_are_counted(self):
+        # an action's plan memory may hold any key, "resets" included
+        act = Action("x")
+        act.runner = ActionRunner("x", A("done"), 10,
+                                  choose=lambda s, mem, r: mem.setdefault("resets", 7))
+        tree = assign_ids(FinallyReset(act, theta=1))
+        runner = MissionRunner(tree)
+        assert runner.tick_once({"done": False}) is RUNNING
+        assert runner.mem(act.id) == {"resets": 7}
+        assert runner.total_resets() == 0

@@ -158,7 +158,7 @@ class TestGridEnv:
     def test_env_protocol(self):
         env = GridEnv(CFG, Random(1))
         props = env.propositions()
-        assert set(props) == env.alphabet
+        assert set(props) == grid_alphabet(CFG)
         env.apply("Up")
         env.apply(None)  # idle ticks allowed
         assert CFG.in_bounds(env.state.mouse_cell)

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from helpers import trace_of
+from helpers import counterexample_mission, enumerate_language, trace_of
 from ppabt import bt, ltlf, mission as ms
 from ppabt.compiler import bind_scripted, compile_mission
 from ppabt.ltlf import Atom, Trace
 from ppabt.mission import MissionConfig, expand_mission, ppa_task
 from ppabt.verify import (
     MAX_FUZZ_TASKS, BoundTooLarge, audit_trace, check_inclusion, check_mission,
-    counterexample_mission, enumerate_language, evaluate_reference,
-    fuzz_corpus_report, random_sound_mission, strip_conditions,
+    evaluate_reference, fuzz_corpus_report, random_sound_mission,
+    strip_conditions,
 )
 from test_ltlf import random_formula, random_trace
 
