@@ -6,7 +6,14 @@ Conditions never return Running.  The ``MissionRunner`` is the tick
 context: every node ticks against it and reads the current state, the
 tick counter and the random source from it.  It also owns the node
 memory (latches, reset counters, success history), a plain dict keyed
-by node id, so a whole execution can be snapshotted and restored.
+by node id, so a whole execution can be snapshotted and restored, and
+one tree can serve any number of runs.
+
+Every node lists its ``children`` (none on leaves) and describes itself
+to the writers: ``kind`` names it in JSON, ``symbol`` and ``shape`` draw
+it in DOT, and ``params`` maps each attribute the writers show to its
+DOT label format.  ``iter_nodes``, ``export_dot`` and ``bt_to_json`` are
+one loop each.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from enum import Enum
 from random import Random
 from typing import Callable, Iterator
 
-from .ltlf import Formula, StateVector, compile_prop, format_formula, formula_to_json
+from .ltlf import Formula, StateVector, compile_prop, formula_to_json
 from .mission import ACTION_PREFIX
 
 
@@ -51,15 +58,16 @@ class BtNode:
     """Tree node; ``id`` keys its memory and is 0 until ``assign_ids``."""
 
     kind = "node"
+    symbol = ""
+    shape = "box"
+    params: dict[str, str] = {}
+    children = ()
 
     def __init__(self):
         self.id = 0
 
     def tick(self, ctx: MissionRunner) -> Status:
         raise NotImplementedError
-
-    def children_nodes(self) -> list["BtNode"]:
-        return []
 
 
 class ControlNode(BtNode):
@@ -70,23 +78,21 @@ class ControlNode(BtNode):
         assert children, "control node needs at least one child"
         self.children = list(children)
 
-    def children_nodes(self):
-        return self.children
-
 
 class DecoratorNode(BtNode):
     """Node with exactly one child."""
 
+    shape = "diamond"
+
     def __init__(self, child: BtNode):
         super().__init__()
         self.child = child
-
-    def children_nodes(self):
-        return [self.child]
+        self.children = [child]
 
 
 class Sequence(ControlNode):
     kind = "sequence"
+    symbol = "→"  # ->
 
     def tick(self, ctx):
         for child in self.children:
@@ -98,6 +104,7 @@ class Sequence(ControlNode):
 
 class Selector(ControlNode):
     kind = "selector"
+    symbol = "?"
 
     def tick(self, ctx):
         for child in self.children:
@@ -109,6 +116,7 @@ class Selector(ControlNode):
 
 class Parallel(ControlNode):
     kind = "parallel"
+    symbol = "⇉"  # =>=>
 
     def tick(self, ctx):
         statuses = [child.tick(ctx) for child in self.children]
@@ -123,6 +131,9 @@ class Condition(BtNode):
     """Propositional check on the current state; never returns Running."""
 
     kind = "condition"
+    symbol = "◯"
+    shape = "ellipse"
+    params = {"prop": "{}"}
 
     def __init__(self, prop: Formula):
         super().__init__()
@@ -135,6 +146,8 @@ class Condition(BtNode):
 
 class Action(BtNode):
     kind = "action"
+    symbol = "□"
+    params = {"binding": "{}"}
 
     def __init__(self, binding: str):
         super().__init__()
@@ -151,6 +164,7 @@ class PreconditionLatch(DecoratorNode):
     """Sticks at Success once its child has succeeded within the attempt."""
 
     kind = "precondition_latch"
+    symbol = "◇ latch"
 
     def tick(self, ctx):
         mem = ctx.mem(self.id)
@@ -171,6 +185,8 @@ class FinallyReset(DecoratorNode):
     """
 
     kind = "finally_reset"
+    symbol = "◇ F"
+    params = {"theta": "(theta={})"}
 
     def __init__(self, child: BtNode, theta: int):
         super().__init__(child)
@@ -199,6 +215,8 @@ class MissionRoot(DecoratorNode):
     """Passes its child's status through and fails once time is up."""
 
     kind = "mission_root"
+    symbol = "◇ root"
+    params = {"t_task_max": "(t_max={})"}
 
     def __init__(self, child: BtNode, t_task_max: int):
         super().__init__(child)
@@ -216,6 +234,7 @@ class TaskBoundary(DecoratorNode):
     """Separates one task's subtree from the rest of the mission."""
 
     kind = "task_boundary"
+    symbol = "◇ task"
 
     def tick(self, ctx):
         return self.child.tick(ctx)
@@ -227,7 +246,7 @@ def iter_nodes(tree: BtNode) -> Iterator[BtNode]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(node.children_nodes()))
+        stack.extend(reversed(node.children))
 
 
 def assign_ids(tree: BtNode) -> BtNode:
@@ -354,38 +373,16 @@ def node_count(tree: BtNode) -> int:
     return sum(1 for _ in iter_nodes(tree))
 
 
-_DOT_SYMBOLS = {
-    "sequence": "→",          # ->
-    "selector": "?",
-    "parallel": "⇉",          # =>=>
-    "precondition_latch": "◇ latch",
-    "finally_reset": "◇ F",
-    "mission_root": "◇ root",
-    "task_boundary": "◇ task",
-}
-
-
 def export_dot(tree: BtNode) -> str:
     """Graphviz text, one node per tree node with the usual BT symbols."""
     lines = ["digraph bt {", "  node [shape=box];"]
     for node in iter_nodes(tree):
-        if isinstance(node, Condition):
-            label = f"◯ {format_formula(node.prop)}"
-            shape = "ellipse"
-        elif isinstance(node, Action):
-            label = f"□ {node.binding}"
-            shape = "box"
-        else:
-            label = _DOT_SYMBOLS[node.kind]
-            if isinstance(node, FinallyReset):
-                label += f" (theta={node.theta})"
-            if isinstance(node, MissionRoot):
-                label += f" (t_max={node.t_task_max})"
-            shape = "diamond" if "◇" in label else "box"
+        label = " ".join([node.symbol, *(fmt.format(getattr(node, name))
+                                         for name, fmt in node.params.items())])
         escaped = label.replace('"', '\\"')
-        lines.append(f'  n{node.id} [label="{escaped}", shape={shape}];')
+        lines.append(f'  n{node.id} [label="{escaped}", shape={node.shape}];')
     for node in iter_nodes(tree):
-        for child in node.children_nodes():
+        for child in node.children:
             lines.append(f"  n{node.id} -> n{child.id};")
     lines.append("}")
     return "\n".join(lines)
@@ -393,16 +390,9 @@ def export_dot(tree: BtNode) -> str:
 
 def bt_to_json(tree: BtNode) -> dict:
     data: dict = {"kind": tree.kind, "id": tree.id}
-    if isinstance(tree, Condition):
-        data["prop"] = formula_to_json(tree.prop)
-    elif isinstance(tree, Action):
-        data["binding"] = tree.binding
-    elif isinstance(tree, FinallyReset):
-        data["theta"] = tree.theta
-    elif isinstance(tree, MissionRoot):
-        data["t_task_max"] = tree.t_task_max
-    children = tree.children_nodes()
-    if children:
-        data["children"] = [bt_to_json(c) for c in children]
+    for name in tree.params:
+        value = getattr(tree, name)
+        data[name] = formula_to_json(value) if isinstance(value, Formula) else value
+    if tree.children:
+        data["children"] = [bt_to_json(c) for c in tree.children]
     return data
-

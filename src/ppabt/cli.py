@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import gridworld as gw
@@ -20,7 +22,7 @@ from .ltlf import LtlfError, format_formula, formula_to_json, tokenize
 from .mission import (
     MissionConfig, MissionError, TASK_FIELDS, expand_mission, parse_mission,
 )
-from .missions import C2H_TEXT
+from .missions import C2H_TEXT, build_c2h
 from .planners import (
     LearnerConfig, Policy, SoundnessViolation, evaluate_policy, learn,
     plan_grid_policies,
@@ -43,6 +45,8 @@ SWEEP_DEFAULTS = {
     "seed": 0,
     "gamma": 0.9,
 }
+# the value sets a sweep crosses, outermost first
+SWEEP_AXES = ("r_other", "r_good", "r_fire", "p_in")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,13 +90,8 @@ SWEEP_FIELDS = ["cell", "r_other", "r_good", "r_fire", "p_in", "n_trials",
 def _write_csv(rows: list[dict], out: str | None,
                fieldnames: list[str] | None = None) -> None:
     header = fieldnames if fieldnames is not None else (list(rows[0]) if rows else [])
-    if out:
-        with open(out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(rows)
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=header)
+    with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
+        writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -123,7 +122,12 @@ def cmd_compile(args) -> int:
 def _sweep_config(args) -> dict:
     cfg = dict(SWEEP_DEFAULTS)
     if args.config:
-        cfg.update(json.loads(Path(args.config).read_text()))
+        loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict) or not all(
+                isinstance(loaded.get(axis, []), list) for axis in SWEEP_AXES):
+            raise ValueError("a sweep config is an object whose "
+                             f"{', '.join(SWEEP_AXES)} are lists")
+        cfg.update(loaded)
     if args.trials is not None:
         cfg["n_trials"] = args.trials
     if args.seed is not None:
@@ -132,42 +136,31 @@ def _sweep_config(args) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    from .missions import build_c2h
-
     cfg = _sweep_config(args)
     rows = []
-    cell_index = 0
-    if cfg["n_trials"] == 0:
-        _write_csv(rows, args.out, fieldnames=SWEEP_FIELDS)
-        return EXIT_OK
-    for r_other in cfg["r_other"]:
-        for r_good in cfg["r_good"]:
-            for r_fire in cfg["r_fire"]:
-                for p_in in cfg["p_in"]:
-                    cell_seed = cfg["seed"] * 1_000_003 + cell_index
-                    grid = gw.GridConfig(p_in=p_in, r_other=r_other,
-                                         r_good=r_good, r_fire=r_fire,
-                                         seed=cell_seed)
-                    policy = plan_grid_policies(grid, gamma=cfg["gamma"])
-                    result = evaluate_policy(
-                        build_c2h(grid), grid, policy, cfg["n_trials"],
-                        randomize_start=False, seed=cell_seed,
-                        max_trace=args.max_trace)
-                    rows.append({
-                        "cell": cell_index, "r_other": r_other,
-                        "r_good": r_good, "r_fire": r_fire, "p_in": p_in,
-                        "n_trials": cfg["n_trials"], "seed": cell_seed,
-                        "success_probability": result["success_probability"],
-                        "mean_trace_len": result["mean_trace_len"],
-                    })
-                    cell_index += 1
+    # zero trials sweeps no cell: the CSV is the header alone
+    cells = (itertools.product(*(cfg[axis] for axis in SWEEP_AXES))
+             if cfg["n_trials"] else ())
+    for cell_index, (r_other, r_good, r_fire, p_in) in enumerate(cells):
+        cell_seed = cfg["seed"] * 1_000_003 + cell_index
+        grid = gw.GridConfig(p_in=p_in, r_other=r_other, r_good=r_good,
+                             r_fire=r_fire, seed=cell_seed)
+        policy = plan_grid_policies(grid, gamma=cfg["gamma"])
+        result = evaluate_policy(build_c2h(grid), grid, policy, cfg["n_trials"],
+                                 randomize_start=False, seed=cell_seed,
+                                 max_trace=args.max_trace)
+        rows.append({
+            "cell": cell_index, "r_other": r_other, "r_good": r_good,
+            "r_fire": r_fire, "p_in": p_in, "n_trials": cfg["n_trials"],
+            "seed": cell_seed,
+            "success_probability": result["success_probability"],
+            "mean_trace_len": result["mean_trace_len"],
+        })
     _write_csv(rows, args.out, fieldnames=SWEEP_FIELDS)
     return EXIT_OK
 
 
 def cmd_learn(args) -> int:
-    from .missions import build_c2h
-
     p_ins = [float(x) for x in args.p_in.split(",")]
     curves = []
     summary = []
@@ -213,8 +206,6 @@ def cmd_learn(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    from .missions import build_c2h
-
     policy = Policy.from_json(json.loads(Path(args.policy).read_text()))
     grid = gw.GridConfig(p_in=args.p_in_single, seed=args.seed)
     result = evaluate_policy(build_c2h(grid), grid, policy,
@@ -233,9 +224,8 @@ def cmd_verify(args) -> int:
         data = report.to_json()
         violations = report.n_violations
         if violations and args.out:
-            rows = [{"counterexample": i, "tick": t, "state": state}
-                    for i, t, state in report.counterexamples_csv_rows()]
-            _write_csv(rows, args.out + ".counterexamples.csv")
+            _write_csv(report.counterexamples_csv_rows(),
+                       args.out + ".counterexamples.csv")
     else:
         data = fuzz_corpus_report(args.missions, seed=args.seed,
                                   bound=args.bound)
@@ -337,8 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (LtlfError, MissionError, BoundTooLarge, FileNotFoundError,
-            json.JSONDecodeError, ValueError) as err:
+    except (LtlfError, MissionError, BoundTooLarge, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except SoundnessViolation as err:

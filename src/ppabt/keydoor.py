@@ -16,6 +16,7 @@ fires per trial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import bt
 from .compiler import ActionRunner, bind_actions, compile_mission
@@ -134,29 +135,29 @@ def run_baseline_trial(script: ScenarioScript) -> dict:
             "failed_stage": None, "resets": 0}
 
 
-def run_bt_trial(script: ScenarioScript) -> dict:
-    """Compile the key-door mission, run it against the scripted world and
-    audit a successful trace against the expanded mission formula."""
+@cache
+def _bt_mission(theta: int, t_task_max: int):
+    """The bound key-door tree, its goal formula and the trace alphabet,
+    shared by every trial: node memory lives in each run's MissionRunner."""
     expr = build_keydoor()
-    cfg = MissionConfig(t_task_max=script.t_task_max, theta=script.theta,
-                        alphabet=KEYDOOR_ATOMS)
+    cfg = MissionConfig(t_task_max=t_task_max, theta=theta, alphabet=KEYDOOR_ATOMS)
     tree = compile_mission(expr, cfg)
-    runners = {}
-    for task in tasks_of(expr):
-        def choose(state, mem, rng, _stage=task.action):
-            return _stage
-        runners[task.action] = ActionRunner(task.action, task.poc,
-                                            cfg.t_task_max, choose)
-    bind_actions(tree, runners)
+    bind_actions(tree, {
+        task.action: ActionRunner(task.action, task.poc, t_task_max,
+                                  lambda state, mem, rng, stage=task.action: stage)
+        for task in tasks_of(expr)})
+    return tree, expand_mission(expr), mission_alphabet(expr, KEYDOOR_ATOMS)
+
+
+def run_bt_trial(script: ScenarioScript) -> dict:
+    """Run the compiled key-door mission against the scripted world and
+    audit a successful trace against the expanded mission formula."""
+    tree, goal, alphabet = _bt_mission(script.theta, script.t_task_max)
     world = KeyDoorWorld(script)
     status, trace_states, runner = bt.run_to_completion(tree, world,
                                                         script.max_trace)
     success = status is bt.SUCCESS
-    sound = True
-    if success:
-        alphabet = mission_alphabet(expr, KEYDOOR_ATOMS)
-        trace = Trace(trace_states, alphabet)
-        sound = evaluate(expand_mission(expr), trace, 0)
+    sound = not success or evaluate(goal, Trace(trace_states, alphabet), 0)
     return {"mode": "bt", "success": success, "ticks": len(trace_states),
             "failed_stage": None if success else _failed_stage(world),
             "resets": runner.total_resets(), "sound": sound}

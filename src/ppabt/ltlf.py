@@ -54,6 +54,13 @@ class TraceIndexError(LtlfError, IndexError):
 
 @dataclass(frozen=True)
 class Formula:
+    """Operators set ``symbol`` and their operands are ``args``.  A leaf
+    has no ``args`` and renders itself through ``__str__`` and
+    ``to_json``: Atom here, Task in the mission language."""
+
+    symbol = ""
+    args = ()
+
     def __str__(self) -> str:
         return format_formula(self)
 
@@ -70,50 +77,57 @@ class Atom(Formula):
 
 
 @dataclass(frozen=True)
-class Not(Formula):
+class Unary(Formula):
     child: Formula
+    json_keys = ("child",)  # formula_to_json's names for the operands
+
+    @property
+    def args(self) -> tuple[Formula]:
+        return (self.child,)
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class Binary(Formula):
     left: Formula
     right: Formula
+    json_keys = ("lhs", "rhs")
+
+    @property
+    def args(self) -> tuple[Formula, Formula]:
+        return (self.left, self.right)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Not(Unary):
+    symbol = "!"
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    child: Formula
+class Next(Unary):
+    symbol = "X"
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Finally(Unary):
+    symbol = "F"
 
 
-@dataclass(frozen=True)
-class Finally(Formula):
-    child: Formula
+class Globally(Unary):
+    symbol = "G"
 
 
-@dataclass(frozen=True)
-class Globally(Formula):
-    child: Formula
+class Or(Binary):
+    symbol = "|"
+
+
+class And(Binary):
+    symbol = "&"
+
+
+class Until(Binary):
+    symbol = "U"
 
 
 TRUE = Atom("True")
 FALSE = Atom("False")
 
-# Every other Formula class is a leaf that renders itself through
-# ``__str__`` and ``to_json``: Atom here, Task in the mission language.
-_UNARY = {Not: "!", Next: "X", Finally: "F", Globally: "G"}
-_BINARY = {Or: "|", And: "&", Until: "U"}  # loosest binding first
 TEMPORAL_OPS = (Next, Until, Finally, Globally)
 
 
@@ -123,10 +137,7 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
     while stack:
         f = stack.pop()
         yield f
-        if type(f) in _UNARY:
-            stack.append(f.child)
-        elif type(f) in _BINARY:
-            stack += (f.right, f.left)
+        stack.extend(reversed(f.args))
 
 
 def atoms_of(formula: Formula) -> set[str]:
@@ -140,12 +151,9 @@ def is_propositional(formula: Formula) -> bool:
 
 def map_leaves(formula: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """The formula with every leaf ``f`` replaced by ``fn(f)``."""
-    cls = type(formula)
-    if cls in _UNARY:
-        return cls(map_leaves(formula.child, fn))
-    if cls in _BINARY:
-        return cls(map_leaves(formula.left, fn), map_leaves(formula.right, fn))
-    return fn(formula)
+    if not formula.args:
+        return fn(formula)
+    return type(formula)(*(map_leaves(arg, fn) for arg in formula.args))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +374,7 @@ def parse_text(text: str, parse: Callable[[_Cursor], Formula]) -> Formula:
     return result
 
 
-_LADDER = tuple((symbol, cls) for cls, symbol in _BINARY.items())
+_LADDER = tuple((cls.symbol, cls) for cls in (Or, And, Until))  # loosest first
 
 
 def parse_binary(cur: _Cursor, leaf: Callable[[_Cursor], Formula],
@@ -399,7 +407,7 @@ def parse_group(cur: _Cursor, leaf: Callable[[_Cursor], Formula]) -> Formula:
     return inner
 
 
-_PREFIX_UNARY = {symbol: cls for cls, symbol in _UNARY.items()}
+_PREFIX_UNARY = {cls.symbol: cls for cls in (Not, Next, Finally, Globally)}
 
 
 def parse_ltlf(text: str, alphabet: set[str] | frozenset[str]) -> Formula:
@@ -435,15 +443,11 @@ def parse_ltlf(text: str, alphabet: set[str] | frozenset[str]) -> Formula:
 def format_formula(formula: Formula) -> str:
     """Canonical prefix text: every operand that is not a leaf is parenthesized."""
     def wrap(f: Formula) -> str:
-        text = format_formula(f)
-        return f"({text})" if type(f) in _UNARY or type(f) in _BINARY else text
+        return f"({format_formula(f)})" if f.args else str(f)
 
-    cls = type(formula)
-    if cls in _UNARY:
-        return f"{_UNARY[cls]} {wrap(formula.child)}"
-    if cls in _BINARY:
-        return f"{_BINARY[cls]} {wrap(formula.left)} {wrap(formula.right)}"
-    return str(formula)
+    if not formula.args:
+        return str(formula)
+    return " ".join([formula.symbol, *map(wrap, formula.args)])
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +455,8 @@ def format_formula(formula: Formula) -> str:
 
 def formula_to_json(formula: Formula) -> dict:
     """Nested dicts; an operator's ``op`` is its class name in lower case."""
-    cls = type(formula)
-    if cls in _UNARY:
-        return {"op": cls.__name__.lower(), "child": formula_to_json(formula.child)}
-    if cls in _BINARY:
-        return {"op": cls.__name__.lower(),
-                "lhs": formula_to_json(formula.left),
-                "rhs": formula_to_json(formula.right)}
-    return formula.to_json()
+    if not formula.args:
+        return formula.to_json()
+    operands = zip(formula.json_keys, formula.args)
+    return {"op": type(formula).__name__.lower(),
+            **{key: formula_to_json(arg) for key, arg in operands}}

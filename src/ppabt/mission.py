@@ -159,7 +159,7 @@ def parse_prop(text: str, alphabet: set[str] | frozenset[str]) -> Formula:
     return parse_text(text, lambda cur: _parse_prop(cur, alpha))
 
 
-_INFIX = (("|", Or), ("&", And))
+_INFIX = tuple((cls.symbol, cls) for cls in (Or, And))  # loosest first
 
 
 def _parse_prop(cur: _Cursor, alphabet: frozenset[str], level: int = 0) -> Formula:
@@ -203,17 +203,16 @@ def _parse_prop_not(cur: _Cursor, alphabet: frozenset[str]) -> Formula:
 def render_prop(formula: Formula) -> str:
     """Infix text for a propositional formula, nested operators parenthesized."""
     def wrap(f: Formula) -> str:
-        return f.name if isinstance(f, ltlf.Atom) else f"({render_prop(f)})"
+        return f"({render_prop(f)})" if f.args else render_prop(f)
 
-    if isinstance(formula, ltlf.Atom):
+    if isinstance(formula, ltlf.TEMPORAL_OPS):
+        raise ValueError(f"not propositional: {formula}")
+    if not formula.args:
         return formula.name
-    if isinstance(formula, ltlf.Not):
-        return "!" + wrap(formula.child)
-    if isinstance(formula, ltlf.And):
-        return f"{wrap(formula.left)} & {wrap(formula.right)}"
-    if isinstance(formula, ltlf.Or):
-        return f"{wrap(formula.left)} | {wrap(formula.right)}"
-    raise ValueError(f"not propositional: {formula}")
+    operands = [wrap(arg) for arg in formula.args]
+    if len(operands) == 1:
+        return formula.symbol + operands[0]
+    return f" {formula.symbol} ".join(operands)
 
 
 def ppa_task(name: str, post: str, pre: str = "True", gc: str = "True",

@@ -88,11 +88,17 @@ class Policy:
         return {"kind": self.kind, "tables": self.tables}
 
     @classmethod
-    def from_json(cls, data: dict) -> "Policy":
-        policy = cls(tables={p: {k: list(map(float, row))
-                                 for k, row in t.items()}
-                             for p, t in data["tables"].items()},
-                     kind=data.get("kind", "stochastic"))
+    def from_json(cls, data) -> "Policy":
+        tables = data.get("tables") if isinstance(data, dict) else None
+        if not isinstance(tables, dict) or sorted(tables) != sorted(PHASES):
+            raise ValueError("a policy is an object whose tables has exactly "
+                             f"the phases {', '.join(PHASES)}")
+        try:
+            rows = {p: {k: list(map(float, row)) for k, row in t.items()}
+                    for p, t in tables.items()}
+        except (AttributeError, TypeError) as err:
+            raise ValueError(f"malformed policy table: {err}") from None
+        policy = cls(tables=rows, kind=data.get("kind", "stochastic"))
         policy.validate(tol=1e-6)
         return policy
 
@@ -288,14 +294,14 @@ class C2hRuntime:
         return audit_trace(self.formula, trace, status)
 
 
-def learn(expr: MissionExpr, grid_cfg: gw.GridConfig, lcfg: LearnerConfig,
-          policy: Policy | None = None) -> tuple[Policy, list[dict]]:
+def learn(expr: MissionExpr, grid_cfg: gw.GridConfig,
+          lcfg: LearnerConfig) -> tuple[Policy, list[dict]]:
     """Run feedback-learning episodes on the two-phase mission.
 
     Returns the learned policy and a per-episode curve of dicts with
     episode index, status, trace length and the episode seed.
     """
-    policy = policy if policy is not None else Policy()
+    policy = Policy()
     runtime = C2hRuntime(expr, grid_cfg, policy, lcfg.max_trace)
     master = Random(lcfg.seed)
     curve = []

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 
 from . import bt, ltlf, mission as ms
@@ -117,20 +117,13 @@ class InclusionReport:
     counterexamples: list[list[dict]] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "alphabet_size": self.alphabet_size,
-            "n_bt_success_traces": self.n_bt_success_traces,
-            "n_violations": self.n_violations,
-            "counterexamples": self.counterexamples,
-        }
+        return asdict(self)
 
-    def counterexamples_csv_rows(self) -> list[list]:
-        rows = []
-        for i, trace in enumerate(self.counterexamples):
-            for t, state in enumerate(trace):
-                rows.append([i, t, json.dumps(state, sort_keys=True)])
-        return rows
+    def counterexamples_csv_rows(self) -> list[dict]:
+        return [{"counterexample": i, "tick": t,
+                 "state": json.dumps(state, sort_keys=True)}
+                for i, trace in enumerate(self.counterexamples)
+                for t, state in enumerate(trace)]
 
 
 def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
@@ -146,18 +139,19 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
                   for row in itertools.product((False, True), repeat=len(names))]
     report = InclusionReport(bound=bound, alphabet_size=len(names))
     runner = bt.MissionRunner(tree)
-    trace_alpha = None
+    # the enumerated atoms plus the action propositions the runner derives
+    trace_alpha = frozenset(runner.augment(valuations[0]))
 
     def visit(depth: int) -> None:
-        nonlocal trace_alpha
+        # every valuation ticks from the same pre-tick state; restore
+        # copies the snapshot's memory, so one snapshot serves them all
+        snap = runner.snapshot()
         for valuation in valuations:
-            snap = runner.snapshot()
             status = runner.tick_once(valuation)
             if status is bt.SUCCESS:
                 report.n_bt_success_traces += 1
-                states = [dict(s) for s in runner.trace_states]
-                if trace_alpha is None:
-                    trace_alpha = frozenset(states[0])
+                # each tick builds a fresh state dict that nothing mutates
+                states = list(runner.trace_states)
                 trace = Trace(states, trace_alpha)
                 if not evaluate(formula, trace, 0):
                     report.n_violations += 1

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from ppabt.cli import EXIT_OK, EXIT_USAGE, main
+from helpers import counterexample_mission
+from ppabt.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from ppabt.mission import render_mission
 
 
 def read_csv(path):
@@ -131,6 +133,31 @@ class TestLearnInfer:
         assert 0.0 <= data["success_probability"] <= 1.0
 
 
+class TestMalformedInput:
+    """Input of the wrong shape exits 1 with one ``error:`` line, no traceback."""
+
+    @pytest.mark.parametrize("data", [
+        {"foo": 1}, [1, 2], {"tables": {"X": {"1,1": [0.25] * 4}}},
+        {"tables": {"C": {"1,1": 5}, "H": {}}},
+    ], ids=["no_tables", "list", "unknown_phase", "row_not_a_list"])
+    def test_infer_malformed_policy(self, tmp_path, capsys, data):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(data))
+        assert main(["infer", "--policy", str(path)]) == EXIT_USAGE
+        assert_single_error_line(capsys, "polic")
+
+    @pytest.mark.parametrize("data", [[1], {"p_in": 0.5}], ids=["list", "scalar_value_set"])
+    def test_sweep_malformed_config(self, tmp_path, capsys, data):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
+        assert_single_error_line(capsys, "sweep config")
+
+    def test_parse_mission_directory(self, tmp_path, capsys):
+        assert main(["parse", "--mission", str(tmp_path)]) == EXIT_USAGE
+        assert_single_error_line(capsys, "directory")
+
+
 class TestVerifyKeydoor:
     def test_verify_corpus_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -138,6 +165,19 @@ class TestVerifyKeydoor:
                      "--seed", "9", "--out", str(out)]) == EXIT_OK
         data = json.loads(out.read_text())
         assert data["total_violations"] == 0
+
+    def test_verify_violation_writes_counterexamples(self, tmp_path, capsys):
+        path = tmp_path / "m.mission"
+        path.write_text(render_mission(counterexample_mission(["a", "b", "c"])) + "\n")
+        out = str(tmp_path / "report.json")
+        assert main(["verify", "--mission", str(path), "--alphabet", "a,b,c",
+                     "--bound", "4", "--theta", "0", "--out", out]) == EXIT_VIOLATION
+        report = json.loads((tmp_path / "report.json").read_text())
+        rows = read_csv(out + ".counterexamples.csv")
+        assert {int(row["counterexample"]) for row in rows} == set(
+            range(len(report["counterexamples"])))
+        assert [json.loads(row["state"]) for row in rows if row["counterexample"] == "0"] \
+            == report["counterexamples"][0]
 
     def test_verify_single_mission_file(self, tmp_path):
         path = tmp_path / "m.mission"

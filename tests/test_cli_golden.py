@@ -55,9 +55,12 @@ CASES = {
     "verify_c2h": ["verify", "--mission", str(MISSIONS / "c2h.mission"),
                    "--alphabet", "Cheese,Fire,Home", "--bound", "4"],
     "sweep": ["sweep", "--trials", "3", "--config", "sweep.json"],
+    "infer": ["infer", "--policy", "policy.json", "--trials", "20"],
 }
 
-INPUTS = {"sweep.json": json.dumps(SWEEP_CONFIG)}
+# the policy that the learn_out case stores, read back by the infer case
+INPUTS = {"sweep.json": json.dumps(SWEEP_CONFIG),
+          "policy.json": (GOLDEN / "learn_out" / "files" / "learn.policy.json").read_text()}
 
 
 def run_case(argv, workdir: Path) -> dict[str, bytes]:

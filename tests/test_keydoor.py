@@ -102,6 +102,16 @@ class TestTrials:
         script = ScenarioScript(perturbation=Perturbation("door"))
         assert run_bt_trial(script) == run_bt_trial(script)
 
+    def test_shared_tree_carries_no_state_between_trials(self):
+        # the trials share one compiled tree; a trial that resets must
+        # leave nothing behind for the next one
+        script = ScenarioScript(theta=2, t_task_max=45)
+        first = run_bt_trial(script)
+        disturbed = run_bt_trial(ScenarioScript(
+            theta=2, t_task_max=45, perturbation=Perturbation("door")))
+        assert disturbed["resets"] == 1
+        assert run_bt_trial(script) == first
+
 
 class TestExperiment:
     def test_baseline_block_counts(self):

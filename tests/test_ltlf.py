@@ -4,9 +4,10 @@ import pytest
 
 from helpers import formula_from_json, recursion_limit
 from ppabt.ltlf import (
-    MAX_NESTING, And, Atom, Finally, Globally, Next, Not, Or, ParseError,
-    Trace, TraceIndexError, Until, UnknownAtom, atoms_of, compile_prop,
-    evaluate, format_formula, formula_to_json, is_propositional, parse_ltlf,
+    MAX_NESTING, And, Atom, Binary, Finally, Globally, Next, Not, Or,
+    ParseError, Trace, TraceIndexError, Unary, Until, UnknownAtom, atoms_of,
+    compile_prop, evaluate, format_formula, formula_to_json, is_propositional,
+    parse_ltlf,
 )
 
 AB = {"a", "b", "c"}
@@ -70,6 +71,20 @@ class TestFormat:
     def test_until_of_finallys(self):
         f = Until(Finally(Atom("a")), Finally(Atom("b")))
         assert format_formula(f) == "U (F a) (F b)"
+
+    @pytest.mark.parametrize("cls", Unary.__subclasses__() + Binary.__subclasses__(),
+                             ids=lambda cls: cls.__name__)
+    def test_every_operator_parses_from_its_symbol(self, cls):
+        # an operator class the parser tables miss fails here
+        operands = [Atom("a"), Atom("b")][:len(cls.__dataclass_fields__)]
+        text = " ".join([cls.symbol, *(a.name for a in operands)])
+        assert parse_ltlf(text, AB) == cls(*operands)
+        assert format_formula(cls(*operands)) == text
+
+    def test_operands_are_args(self):
+        assert Not(Atom("a")).args == (Atom("a"),)
+        assert Until(Atom("a"), Atom("b")).args == (Atom("a"), Atom("b"))
+        assert Atom("a").args == ()
 
 
 class TestEvaluate:

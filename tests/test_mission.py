@@ -14,7 +14,7 @@ from ppabt.mission import (
     And, DuplicateTaskName, Finally, MissionConfig, Or, PpaTaskSpec,
     ReservedAtom, Task, TemporalOperatorInCondition, Until, expand_mission,
     expand_task, mission_alphabet, parse_mission, parse_prop, ppa_task,
-    render_mission, tasks_of,
+    render_mission, render_prop, tasks_of,
 )
 
 GRID_ATOMS = {"Cheese", "Fire", "Home"}
@@ -70,6 +70,17 @@ class TestExpandTask:
     def test_action_atom_rejected_in_conditions(self):
         with pytest.raises(ReservedAtom):
             ppa_task("bad", post="__action_x", alphabet={"__action_x"})
+
+
+class TestRenderProp:
+    def test_infix_with_nested_operators_parenthesized(self):
+        prop = parse_prop("!a & (b | !c)", {"a", "b", "c"})
+        assert render_prop(prop) == "(!a) & (b | (!c))"
+
+    @pytest.mark.parametrize("text", ["F a", "X a", "G a", "U a b", "& a (F b)"])
+    def test_temporal_operator_raises(self, text):
+        with pytest.raises(ValueError):
+            render_prop(parse_ltlf(text, {"a", "b"}))
 
 
 class TestParseMission:

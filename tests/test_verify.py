@@ -7,6 +7,7 @@ from ppabt import bt, ltlf, mission as ms
 from ppabt.compiler import bind_scripted, compile_mission
 from ppabt.ltlf import Atom, Trace
 from ppabt.mission import MissionConfig, expand_mission, ppa_task
+from ppabt.missions import C2H_TEXT
 from ppabt.verify import (
     MAX_FUZZ_TASKS, BoundTooLarge, audit_trace, check_inclusion, check_mission,
     evaluate_reference, fuzz_corpus_report, random_sound_mission,
@@ -15,6 +16,7 @@ from ppabt.verify import (
 from test_ltlf import random_formula, random_trace
 
 ABC = {"a", "b", "c"}
+C2H_ATOMS = {"Cheese", "Fire", "Home"}
 
 
 def assert_evaluators_agree(formula, trace, expected=None):
@@ -160,6 +162,22 @@ class TestCheckInclusion:
             alpha = frozenset(states[0])
             assert evaluate_reference(expand_mission(expr),
                                       Trace(states, alpha), 0) is False
+
+    def test_one_snapshot_per_prefix(self, monkeypatch):
+        calls = []
+        snapshot = bt.MissionRunner.snapshot
+
+        def counted(runner):
+            calls.append(1)
+            return snapshot(runner)
+
+        monkeypatch.setattr(bt.MissionRunner, "snapshot", counted)
+        expr = ms.parse_mission(C2H_TEXT, C2H_ATOMS)
+        report = check_mission(expr, C2H_ATOMS, bound=4)
+        # one snapshot per explored prefix, not one per valuation (1,344)
+        assert len(calls) == 168
+        assert report.n_bt_success_traces == 253
+        assert report.n_violations == 0
 
     def test_report_serialization(self):
         report = check_mission(single_task_mission(), ABC, bound=3)
