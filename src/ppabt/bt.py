@@ -4,10 +4,10 @@ Control nodes are reactive: sequence and selector re-evaluate their
 children from the left on every tick, parallel ticks all children.
 Conditions never return Running.  The ``MissionRunner`` is the tick
 context: every node ticks against it and reads the current state, the
-tick counter and the random source from it.  It also owns the node
-memory (latches, reset counters, success history), a plain dict keyed
-by node id, so a whole execution can be snapshotted and restored, and
-one tree can serve any number of runs.
+tick counter and the random source from it.  It also owns the only
+node memory, the set of latched decorators and the Finally reset
+counts, so a whole execution can be snapshotted and restored, and one
+tree can serve any number of runs.
 
 Every node lists its ``children`` (none on leaves) and describes itself
 to the writers: ``kind`` names it in JSON, ``symbol`` and ``shape`` draw
@@ -157,31 +157,15 @@ class Action(BtNode):
     def tick(self, ctx):
         if self.runner is None:
             raise UnboundAction(self.binding)
-        return self.runner.tick(ctx, self.id)
-
-
-class PreconditionLatch(DecoratorNode):
-    """Sticks at Success once its child has succeeded within the attempt."""
-
-    kind = "precondition_latch"
-    symbol = "◇ latch"
-
-    def tick(self, ctx):
-        mem = ctx.mem(self.id)
-        if mem.get("latched"):
-            return SUCCESS
-        status = self.child.tick(ctx)
-        if status is SUCCESS:
-            mem["latched"] = True
-        return status
+        return self.runner.tick(ctx)
 
 
 class FinallyReset(DecoratorNode):
     """Mission Finally decorator.
 
-    Latches child success.  On child failure it resets the descendant
-    decorators and reports Running, up to ``theta`` times; once the
-    reset budget is spent a child failure is final.
+    Latches child success.  On child failure it clears the latches in
+    its subtree and reports Running, up to ``theta`` times; once the
+    budget is spent a child failure is final.
     """
 
     kind = "finally_reset"
@@ -194,21 +178,29 @@ class FinallyReset(DecoratorNode):
         self.theta = theta
 
     def tick(self, ctx):
-        mem = ctx.mem(self.id)
-        if mem.get("succeeded"):
+        if self.id in ctx.latched:
             return SUCCESS
         status = self.child.tick(ctx)
         if status is SUCCESS:
-            mem["succeeded"] = True
-            return SUCCESS
-        if status is FAILURE:
-            used = mem.get("resets", 0)
+            ctx.latched.add(self.id)
+        elif status is FAILURE:
+            used = ctx.resets.get(self.id, 0)
             if used < self.theta:
-                mem["resets"] = used + 1
-                reset_descendant_decorators(self.child, ctx.blackboard)
+                ctx.resets[self.id] = used + 1
+                ctx.latched.difference_update(n.id for n in iter_nodes(self.child))
                 return RUNNING
-            return FAILURE
-        return RUNNING
+        return status
+
+
+class PreconditionLatch(FinallyReset):
+    """Sticks at Success once its child succeeds: a Finally with no resets."""
+
+    kind = "precondition_latch"
+    symbol = "◇ latch"
+    params = {}
+
+    def __init__(self, child: BtNode):
+        super().__init__(child, theta=0)
 
 
 class MissionRoot(DecoratorNode):
@@ -256,23 +248,6 @@ def assign_ids(tree: BtNode) -> BtNode:
     return tree
 
 
-def reset_descendant_decorators(node: BtNode, memory: dict[int, dict]) -> None:
-    """Clear latches, success history and action progress in a subtree.
-
-    Reset counters are lifetime memory and survive: a Finally decorator
-    never issues more than its theta resets no matter how often an
-    ancestor resets it.
-    """
-    for n in iter_nodes(node):
-        mem = memory.get(n.id)
-        if not mem:
-            continue
-        resets = mem.get("resets")
-        mem.clear()
-        if resets is not None and isinstance(n, FinallyReset):
-            mem["resets"] = resets
-
-
 # ---------------------------------------------------------------------------
 # Execution
 
@@ -280,16 +255,19 @@ class MissionRunner:
     """One execution, and the context every node ticks against.
 
     Holds the current ``state``, the tick counter ``t``, ``rng``, the
-    ``pending`` environment action, the trace and the node memory
-    ``blackboard`` (node id -> dict).  The reserved ``__action_*``
-    propositions are appended to each state from the bound runners'
-    postconditions before the tree sees it.
+    ``pending`` environment action, the trace and the node memory:
+    ``latched``, the ids of the decorators stuck at Success, and
+    ``resets``, Finally id -> resets used.  A reset clears latches, not
+    reset counts, so an ancestor's reset does not re-arm a budget.  The
+    reserved ``__action_*`` propositions are appended to each state from
+    the bound runners' postconditions before the tree sees it.
     """
 
     def __init__(self, tree: BtNode, rng: Random | None = None):
         self.tree = tree
         self.rng = rng if rng is not None else Random(0)
-        self.blackboard: dict[int, dict] = {}
+        self.latched: set[int] = set()
+        self.resets: dict[int, int] = {}
         self.state: StateVector = {}
         self.t = 0
         self.trace_states: list[StateVector] = []
@@ -306,12 +284,6 @@ class MissionRunner:
             state[name] = post_fn(env_state)
         return state
 
-    def mem(self, node_id: int) -> dict:
-        mem = self.blackboard.get(node_id)
-        if mem is None:
-            mem = self.blackboard[node_id] = {}
-        return mem
-
     def request_action(self, binding: str, env_action) -> None:
         if self.pending is not None:
             raise ConcurrentActionConflict(
@@ -327,18 +299,17 @@ class MissionRunner:
         return status
 
     def total_resets(self) -> int:
-        """Resets issued so far, read from the Finally decorators' memory."""
-        return sum(self.blackboard.get(n.id, {}).get("resets", 0)
-                   for n in iter_nodes(self.tree) if isinstance(n, FinallyReset))
+        """Resets issued so far by all Finally decorators."""
+        return sum(self.resets.values())
 
-    def snapshot(self) -> tuple[dict[int, dict], int, int]:
-        """Node memory, tick counter and trace length; reset counters included."""
-        memory = {nid: dict(m) for nid, m in self.blackboard.items()}
-        return memory, self.t, len(self.trace_states)
+    def snapshot(self) -> tuple[frozenset[int], dict[int, int], int, int]:
+        """Latches, reset counts, tick counter and trace length."""
+        return (frozenset(self.latched), dict(self.resets), self.t,
+                len(self.trace_states))
 
-    def restore(self, snap: tuple[dict[int, dict], int, int]) -> None:
-        memory, self.t, n_states = snap
-        self.blackboard = {nid: dict(m) for nid, m in memory.items()}
+    def restore(self, snap: tuple[frozenset[int], dict[int, int], int, int]) -> None:
+        latched, resets, self.t, n_states = snap
+        self.latched, self.resets = set(latched), dict(resets)
         del self.trace_states[n_states:]
 
 

@@ -42,11 +42,23 @@ SWEEP_DEFAULTS = {
     "r_fire": [-10.0, -5.0, -2.0, -1.0, -0.5, -0.1],
     "p_in": [round(0.4 + 0.05 * i, 10) for i in range(12)],
     "n_trials": 20,
-    "seed": 0,
     "gamma": 0.9,
 }
 # the value sets a sweep crosses, outermost first
 SWEEP_AXES = ("r_other", "r_good", "r_fire", "p_in")
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a bool is an int, but not a number here
+
+
+# what each key of a sweep config must hold
+_SWEEP_KEYS = {
+    **dict.fromkeys(SWEEP_AXES, ("a non-empty list of numbers", lambda v: (
+        isinstance(v, list) and v != [] and all(map(_is_number, v))))),
+    "gamma": ("a number", _is_number),
+    "n_trials": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,15 +135,18 @@ def _sweep_config(args) -> dict:
     cfg = dict(SWEEP_DEFAULTS)
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
-        if not isinstance(loaded, dict) or not all(
-                isinstance(loaded.get(axis, []), list) for axis in SWEEP_AXES):
-            raise ValueError("a sweep config is an object whose "
-                             f"{', '.join(SWEEP_AXES)} are lists")
+        if not isinstance(loaded, dict):
+            raise ValueError("a sweep config is a JSON object")
+        for key in loaded:
+            if key not in _SWEEP_KEYS:
+                raise ValueError(f"sweep config: unknown key {key!r}, expected "
+                                 f"one of {', '.join(_SWEEP_KEYS)}")
         cfg.update(loaded)
     if args.trials is not None:
         cfg["n_trials"] = args.trials
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    for key, (what, ok) in _SWEEP_KEYS.items():
+        if not ok(cfg[key]):
+            raise ValueError(f"sweep config: {key} must be {what}")
     return cfg
 
 
@@ -142,7 +157,7 @@ def cmd_sweep(args) -> int:
     cells = (itertools.product(*(cfg[axis] for axis in SWEEP_AXES))
              if cfg["n_trials"] else ())
     for cell_index, (r_other, r_good, r_fire, p_in) in enumerate(cells):
-        cell_seed = cfg["seed"] * 1_000_003 + cell_index
+        cell_seed = args.seed * 1_000_003 + cell_index
         grid = gw.GridConfig(p_in=p_in, r_other=r_other, r_good=r_good,
                              r_fire=r_fire, seed=cell_seed)
         policy = plan_grid_policies(grid, gamma=cfg["gamma"])

@@ -37,26 +37,25 @@ class ActionRunner:
     Success exactly when the declared postcondition holds on the current
     state within the time budget; Running while time remains, during
     which ``choose`` may request one environment transition; Failure
-    once the budget is spent.  ``choose(state, mem, rng)`` returns the
-    environment action to apply this tick, or None; per-attempt plan
-    state may be kept in ``mem`` (cleared by decorator resets).
+    once the budget is spent.  ``choose(state, rng)`` returns the
+    environment action to apply this tick, or None.
     """
 
     def __init__(self, binding: str, postcondition: Formula, t_task_max: int,
-                 choose: Callable[[StateVector, dict, Random], object] | None = None):
+                 choose: Callable[[StateVector, Random], object] | None = None):
         self.binding = binding
         self.postcondition = postcondition
         self.t_task_max = t_task_max
         self.choose = choose
         self.post_fn = compile_prop(postcondition)
 
-    def tick(self, ctx: MissionRunner, node_id: int) -> Status:
+    def tick(self, ctx: MissionRunner) -> Status:
         if self.post_fn(ctx.state):
             return SUCCESS if ctx.t <= self.t_task_max else FAILURE
         if ctx.t >= self.t_task_max:
             return FAILURE
         if self.choose is not None:
-            env_action = self.choose(ctx.state, ctx.mem(node_id), ctx.rng)
+            env_action = self.choose(ctx.state, ctx.rng)
             if env_action is not None:
                 ctx.request_action(self.binding, env_action)
         return RUNNING

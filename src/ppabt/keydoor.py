@@ -144,7 +144,7 @@ def _bt_mission(theta: int, t_task_max: int):
     tree = compile_mission(expr, cfg)
     bind_actions(tree, {
         task.action: ActionRunner(task.action, task.poc, t_task_max,
-                                  lambda state, mem, rng, stage=task.action: stage)
+                                  lambda state, rng, stage=task.action: stage)
         for task in tasks_of(expr)})
     return tree, expand_mission(expr), mission_alphabet(expr, KEYDOOR_ATOMS)
 

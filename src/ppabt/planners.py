@@ -238,9 +238,10 @@ class C2hRuntime:
     """Compiled two-phase mission bound to a shared policy.
 
     The mission's tasks, in text order, take the phases in PHASES: the
-    first task's action samples from phase C, the second from phase H.
-    Each sampled (state, action) pair is recorded with its phase for the
-    end-of-episode update.
+    first task's action samples from phase C, the second from phase H,
+    keyed by the mouse cell of the episode's grid ``env``.  Each sampled
+    (state, action) pair is recorded with its phase for the end-of-episode
+    update.
     """
 
     def __init__(self, expr: MissionExpr, grid_cfg: gw.GridConfig,
@@ -249,7 +250,6 @@ class C2hRuntime:
         if len(specs) != len(PHASES):
             raise PhaseCountMismatch(
                 f"learner needs one task per phase {PHASES}, got {len(specs)}")
-        self.expr = expr
         self.grid_cfg = grid_cfg
         self.policy = policy
         self.max_trace = max_trace
@@ -258,7 +258,7 @@ class C2hRuntime:
         mcfg = MissionConfig(t_task_max=max_trace, theta=0,
                              alphabet=self.alphabet)
         self.tree = compile_mission(expr, mcfg)
-        self._env_slot: dict = {"env": None}
+        self.env: gw.GridEnv | None = None
         self.pairs: list[tuple[str, int, str]] = []
         runners = {spec.action: self._runner(spec, phase, mcfg)
                    for spec, phase in zip(specs, PHASES)}
@@ -266,11 +266,10 @@ class C2hRuntime:
 
     def _runner(self, spec, phase: str, mcfg: MissionConfig) -> ActionRunner:
         policy = self.policy
-        slot = self._env_slot
         pairs = self.pairs
 
-        def choose(state, mem, rng):
-            key = cell_key(slot["env"].state.mouse_cell)
+        def choose(state, rng):
+            key = cell_key(self.env.state.mouse_cell)
             action = policy.sample(key, phase, rng)
             pairs.append((key, action, phase))
             return action
@@ -279,11 +278,10 @@ class C2hRuntime:
 
     def run_episode(self, seed: int, start_cell=None) -> tuple[bt.Status, list, EpisodeRecord]:
         rng = Random(seed)
-        env = gw.GridEnv(self.grid_cfg, rng, start_cell=start_cell)
-        self._env_slot["env"] = env
+        self.env = gw.GridEnv(self.grid_cfg, rng, start_cell=start_cell)
         self.pairs.clear()
         status, trace_states, _ = bt.run_to_completion(
-            self.tree, env, self.max_trace, rng=rng)
+            self.tree, self.env, self.max_trace, rng=rng)
         b = 1 if status is bt.SUCCESS else -1
         record = EpisodeRecord([(key, action) for key, action, _ in self.pairs], b,
                                [phase for _, _, phase in self.pairs])

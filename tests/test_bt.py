@@ -9,8 +9,7 @@ from ppabt.bt import (
     Action, Condition, ConcurrentActionConflict, FAILURE, FinallyReset,
     MissionRoot, MissionRunner, Parallel, PreconditionLatch, RUNNING, SUCCESS,
     Selector, Sequence, TaskBoundary, UnboundAction, assign_ids, bt_to_json,
-    export_dot, iter_nodes, node_count, reset_descendant_decorators,
-    run_to_completion,
+    export_dot, iter_nodes, node_count, run_to_completion,
 )
 from ppabt.compiler import ActionRunner, bind_actions, bind_scripted, compile_mission, compile_task
 from ppabt.mission import MissionConfig, parse_mission, ppa_task
@@ -49,7 +48,7 @@ class TestControlNodes:
 
     def test_sequence_never_ticks_action_after_failing_condition(self):
         act = Action("x")
-        act.runner = ActionRunner("x", A("done"), 10, choose=lambda s, m, r: "go")
+        act.runner = ActionRunner("x", A("done"), 10, choose=lambda s, r: "go")
         tree = assign_ids(Sequence([Condition(A("a")), act]))
         status, ctx = tick_tree(tree, {"a": False, "done": False})
         assert status is FAILURE
@@ -112,13 +111,15 @@ class TestDecorators:
         assert tick_tree(latch, {"p": False}, runner)[0] is FAILURE
         assert tick_tree(latch, {"p": True}, runner)[0] is SUCCESS
         assert tick_tree(latch, {"p": False}, runner)[0] is SUCCESS  # latched
+        assert runner.latched == {latch.id} and runner.resets == {}
 
     def test_latch_cleared_by_reset(self):
+        # the latch succeeds, its sibling fails, and the Finally parent resets
         latch = PreconditionLatch(Condition(A("p")))
-        assign_ids(latch)
-        runner = MissionRunner(latch)
-        tick_tree(latch, {"p": True}, runner)
-        reset_descendant_decorators(latch, runner.blackboard)
+        parent = assign_ids(FinallyReset(Sequence([latch, Condition(A("q"))]), theta=1))
+        runner = MissionRunner(parent)
+        assert tick_tree(parent, {"p": True, "q": False}, runner)[0] is RUNNING
+        assert runner.latched == set() and runner.resets == {parent.id: 1}
         assert tick_tree(latch, {"p": False}, runner)[0] is FAILURE
 
     def test_finally_reset_latches_success_without_reticking(self):
@@ -140,7 +141,7 @@ class TestDecorators:
         assert tick_tree(node, {}, runner)[0] is RUNNING   # reset 1
         assert tick_tree(node, {}, runner)[0] is RUNNING   # reset 2
         assert tick_tree(node, {}, runner)[0] is FAILURE   # budget spent
-        assert runner.mem(node.id)["resets"] == 2
+        assert runner.resets == {node.id: 2}
         assert runner.total_resets() == 2
 
     def test_reset_counter_survives_ancestor_reset(self):
@@ -150,31 +151,29 @@ class TestDecorators:
         # inner consumes its only reset, then fails; outer resets it
         for _ in range(3):
             tick_tree(outer, {}, runner)
-        assert runner.mem(inner.id)["resets"] == 1  # not re-armed
+        assert runner.resets == {inner.id: 1, outer.id: 2}  # inner not re-armed
 
     def test_ancestor_reset_clears_descendant_memory(self):
-        # inner Finally: one reset on tick 0, plan memory on tick 1, success
+        # inner Finally: one reset on tick 0, running on tick 1, success
         # on tick 2, where the failing stub makes the outer Finally reset
         act = Action("x")
-        act.runner = ActionRunner("x", A("done"), 10,
-                                  choose=lambda s, mem, r: mem.setdefault("plan", "go"))
+        act.runner = ActionRunner("x", A("done"), 10, choose=lambda s, r: "go")
         inner = FinallyReset(Sequence([Condition(A("ok")), act]), theta=2)
         outer = assign_ids(FinallyReset(Sequence([inner, StubNode([FAILURE])]), theta=1))
         runner = MissionRunner(outer)
         assert runner.tick_once({"ok": False, "done": False}) is RUNNING
         assert runner.tick_once({"ok": True, "done": False}) is RUNNING
-        assert runner.mem(act.id) == {"plan": "go"}
+        assert runner.resets == {inner.id: 1}
         snap = runner.snapshot()
         assert runner.tick_once({"ok": True, "done": True}) is RUNNING
-        assert runner.mem(act.id) == {}                  # plan memory cleared
-        assert runner.mem(inner.id) == {"resets": 1}     # success cleared, counter kept
-        assert runner.mem(outer.id) == {"resets": 1}
+        assert inner.id not in runner.latched            # success cleared, counter kept
+        assert runner.resets == {inner.id: 1, outer.id: 1}
+        assert outer.id not in runner.latched
         assert runner.total_resets() == 2
         runner.restore(snap)                             # the counters come back too
-        assert runner.mem(outer.id) == {}
-        assert runner.mem(inner.id)["resets"] == 1
+        assert runner.resets == {inner.id: 1}
+        assert runner.latched == set()
         assert runner.total_resets() == 1
-        assert runner.mem(act.id) == {"plan": "go"}
 
     def test_mission_root_time_budget(self):
         node = assign_ids(MissionRoot(StubNode([RUNNING]), t_task_max=2))
@@ -299,7 +298,7 @@ class TestRunToCompletion:
             env = StaticEnv(GRID, [{}, {"Fire": True}, {}, {"Cheese": True}])
             status, trace, runner = run_to_completion(tree, env, max_trace=10,
                                                       rng=random.Random(5))
-            runs.append((status, trace, env.applied, runner.blackboard))
+            runs.append((status, trace, env.applied, runner.latched, runner.resets))
         assert runs[0] == runs[1]
 
 
@@ -317,7 +316,7 @@ class TestActionContract:
         assert err.value.binding == "b"
 
     def test_concurrent_actions_conflict(self):
-        def always_move(state, mem, rng):
+        def always_move(state, rng):
             return "go"
 
         r1 = ActionRunner("a", A("Cheese"), 10, choose=always_move)
@@ -398,24 +397,19 @@ class TestResetCounts:
         tree = scripted_task_tree(theta=1)
         runner = MissionRunner(tree)
         assert runner.tick_once({"Cheese": False, "Fire": False, "Home": False}) is RUNNING
+        latched = set(runner.latched)  # the task's precondition latch
+        assert latched
         snap = runner.snapshot()
         for _ in range(2):
             assert runner.tick_once({"Cheese": False, "Fire": True, "Home": False}) is RUNNING
             assert runner.total_resets() == 1
+            assert runner.latched == set()
             runner.restore(snap)
             assert runner.total_resets() == 0
+            assert runner.latched == latched
             assert runner.tick_once({"Cheese": True, "Fire": False, "Home": False}) is SUCCESS
             assert runner.total_resets() == 0
+            assert runner.latched > latched  # the Finally decorator latched too
             runner.restore(snap)
+            assert runner.latched == latched
         assert (runner.t, len(runner.trace_states)) == (1, 1)
-
-    def test_only_finally_counters_are_counted(self):
-        # an action's plan memory may hold any key, "resets" included
-        act = Action("x")
-        act.runner = ActionRunner("x", A("done"), 10,
-                                  choose=lambda s, mem, r: mem.setdefault("resets", 7))
-        tree = assign_ids(FinallyReset(act, theta=1))
-        runner = MissionRunner(tree)
-        assert runner.tick_once({"done": False}) is RUNNING
-        assert runner.mem(act.id) == {"resets": 7}
-        assert runner.total_resets() == 0

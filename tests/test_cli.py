@@ -75,7 +75,7 @@ class TestSweep:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({
             "r_other": [-0.04, -1.5], "r_good": [1.0], "r_fire": [-1.0],
-            "p_in": [0.9], "n_trials": 30, "seed": 5,
+            "p_in": [0.9], "n_trials": 30,
         }))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
@@ -100,11 +100,12 @@ class TestSweep:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({
             "r_other": [-0.04], "r_good": [1.0], "r_fire": [-1.0],
-            "p_in": [0.9], "n_trials": 10, "seed": 3,
+            "p_in": [0.9], "n_trials": 10,
         }))
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["sweep", "--config", str(config), "--out", str(out1)])
-        main(["sweep", "--config", str(config), "--out", str(out2)])
+        for out in (out1, out2):
+            assert main(["sweep", "--config", str(config), "--seed", "3",
+                         "--out", str(out)]) == EXIT_OK
         assert out1.read_text() == out2.read_text()
 
 
@@ -146,7 +147,11 @@ class TestMalformedInput:
         assert main(["infer", "--policy", str(path)]) == EXIT_USAGE
         assert_single_error_line(capsys, "polic")
 
-    @pytest.mark.parametrize("data", [[1], {"p_in": 0.5}], ids=["list", "scalar_value_set"])
+    @pytest.mark.parametrize("data", [
+        [1], {"p_in": 0.5}, {"p_in": ["a"]}, {"p_in": [True]}, {"p_in": []},
+        {"gamma": "x"}, {"n_trials": "3"}, {"n_trials": -1}, {"seed": 5},
+    ], ids=["list", "scalar_value_set", "string_value", "bool_value", "empty_value_set",
+            "string_gamma", "string_n_trials", "negative_n_trials", "seed_key"])
     def test_sweep_malformed_config(self, tmp_path, capsys, data):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(data))

@@ -1,0 +1,152 @@
+"""Seeded hostile input for the CLI.
+
+A small grammar builds argv and input files for ``parse``, ``compile``,
+``verify``, ``infer`` and ``sweep``: JSON of the wrong type, empty files,
+non-UTF-8 bytes, a directory where a file belongs, missions nested at
+``MAX_NESTING`` ± 1, zero and negative counts, out-of-range
+probabilities and atoms outside the alphabet.  Each case runs
+``cli.main`` in-process.  No exception may escape, the exit code must be
+0, 1 or 2, and exit 1 must come with exactly one ``error:`` line.  A
+generated sweep crosses one cell at most, of at most three trials.
+"""
+
+import contextlib
+import io
+import json
+import random
+
+from ppabt.cli import SWEEP_AXES, main
+from ppabt.ltlf import MAX_NESTING
+
+SEED = 0
+N_CASES = 500
+
+# JSON values of every type, most of them wrong wherever they are put
+JUNK = [None, True, False, 0, -1, 3, 0.5, -2.5, "x", "3", "", [], [1], ["a"],
+        [True], [None], {}, {"a": 1}, [[0.5]]]
+COUNTS = ["-1", "0", "1", "2"]
+PROBABILITIES = ["-0.5", "0", "0.95", "1", "1.5"]
+DEPTHS = [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1]
+
+
+def nested_mission(rng) -> str:
+    n = rng.choice(DEPTHS)
+    return rng.choice([
+        "F (" * n + "task(t, post=a)" + ")" * n,
+        "task(t, post=" + "(" * n + "a" + ")" * n + ")",
+        "task(t, post=" + "!" * n + "a)",
+    ])
+
+
+def mission_text(rng) -> str:
+    return rng.choice([
+        nested_mission(rng),
+        "task(t, post=Zebra, gc=!Fire)",
+        "U (F task(a, post=Cheese)) (F task(b, post=Home, pre=Unicorn))",
+        "task(t, post=a, gc=!b)",
+        "task(t, post=__action_t)",
+        "F (task(t, post=a)",
+        "| task(a, post=a)",
+    ])
+
+
+def policy_data(rng):
+    row = rng.choice([[0.25] * 4, [1, 0, 0, 0], [-1, 2, 0, 0], [0.5], "x", 5, [], None])
+    return rng.choice([
+        rng.choice(JUNK),
+        {"tables": rng.choice(JUNK)},
+        {"tables": {"C": {"1,1": row}, "H": {}}},
+        {"tables": {"C": {}, "H": {rng.choice(["0,0", "9,9", "x", ""]): row}}},
+        {"tables": {"C": {}, "H": {}, "X": {}}},
+    ])
+
+
+def sweep_data(rng):
+    """A config of at most one cell: every axis is a one-value list or junk."""
+    data = {axis: rng.choice([[-0.04], [1.0], [-1.0], [0.9], [1.5], [-0.1]])
+            for axis in SWEEP_AXES}
+    for key in rng.sample([*SWEEP_AXES, "gamma", "n_trials", "seed", "foo"], 2):
+        data[key] = rng.choice([*JUNK, 0.9, 1, 0])
+    return data
+
+
+def write_input(rng, path, content) -> str:
+    """Write ``content`` (text, bytes or JSON data) to ``path``, or make
+    ``path`` a directory, an empty file, a non-UTF-8 file or nothing."""
+    kind = rng.choice(["content"] * 5 + ["empty", "bytes", "dir", "missing"])
+    if kind == "content":
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif isinstance(content, str):
+            path.write_text(content)
+        else:
+            path.write_text(json.dumps(content))
+    elif kind == "empty":
+        path.write_text("")
+    elif kind == "bytes":
+        path.write_bytes(b"\xff\xfe task(t, post=\x80a)")
+    elif kind == "dir":
+        path.mkdir()
+    return str(path)
+
+
+def build_case(rng, tmp_path, i: int) -> list[str]:
+    command = rng.choice(["parse", "compile", "verify", "infer", "sweep"])
+    argv = [command]
+    if command in ("parse", "compile", "verify") and rng.random() < 0.8:
+        argv += ["--mission", write_input(rng, tmp_path / f"m{i}.mission",
+                                          mission_text(rng))]
+    if command in ("parse", "compile", "verify") and rng.random() < 0.4:
+        argv += ["--alphabet", rng.choice(["", ",", "a", "a,b,t", "Cheese,Fire,Home"])]
+    if command == "compile":
+        argv += ["--theta", rng.choice(COUNTS), "--max-trace", rng.choice(COUNTS)]
+        if rng.random() < 0.5:
+            argv += ["--dot", str(tmp_path / f"bt{i}.dot")]
+    elif command == "verify":
+        argv += ["--bound", rng.choice(COUNTS[:3]), "--theta", rng.choice(COUNTS)]
+        if "--mission" not in argv:
+            argv += ["--missions", rng.choice(COUNTS)]
+    elif command == "infer":
+        argv += ["--policy", write_input(rng, tmp_path / f"p{i}.json", policy_data(rng)),
+                 "--p-in", rng.choice(PROBABILITIES), "--trials", rng.choice(COUNTS[:3]),
+                 "--max-trace", rng.choice(["-1", "0", "1", "50"])]
+    elif command == "sweep":
+        data = sweep_data(rng)
+        argv += ["--config", write_input(rng, tmp_path / f"s{i}.json", data)]
+        if "n_trials" not in data or rng.random() < 0.5:
+            argv += ["--trials", rng.choice(["-1", "0", "1"])]
+    if rng.random() < 0.5:
+        argv += ["--out", str(tmp_path / f"out{i}")]
+    if rng.random() < 0.05:
+        argv += ["--seed", rng.choice(["x", "-3"])]
+    return argv
+
+
+def run_case(argv) -> tuple[object, str]:
+    """Exit code (or the escaped exception) and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - the test reports what escaped
+            code = exc
+    return code, err.getvalue()
+
+
+def test_hostile_cli_input_exits_cleanly(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(SEED)
+    faults, codes = [], set()
+    for i in range(N_CASES):
+        argv = build_case(rng, tmp_path, i)
+        code, err = run_case(argv)
+        codes.add(code if code in (0, 1, 2) else None)
+        error_lines = [line for line in err.splitlines() if line.startswith("error:")]
+        if code not in (0, 1, 2):
+            faults.append((argv, repr(code)))
+        elif code == 1 and len(error_lines) != 1:
+            faults.append((argv, err))
+    assert not faults, "\n".join(f"{argv}: {what}" for argv, what in faults)
+    assert codes >= {0, 1}  # the grammar reaches both outcomes
