@@ -41,12 +41,6 @@ class BtError(Exception):
     pass
 
 
-class UnboundAction(BtError):
-    def __init__(self, binding: str):
-        super().__init__(f"action {binding!r} has no registered runner")
-        self.binding = binding
-
-
 class ConcurrentActionConflict(BtError):
     """Two action nodes tried to drive the environment in one tick."""
 
@@ -144,20 +138,41 @@ class Condition(BtNode):
         return SUCCESS if self._fn(ctx.state) else FAILURE
 
 
-class Action(BtNode):
+Chooser = Callable[[StateVector, Random], object]
+
+
+class ActionRunner(BtNode):
+    """Action node: Success exactly when its task's postcondition holds
+    within the time budget, Failure once the budget is spent, Running
+    meanwhile.  While it runs, ``choose(state, rng)`` may return one
+    environment action to request; a node without ``choose`` is scripted.
+    """
+
     kind = "action"
     symbol = "□"
     params = {"binding": "{}"}
 
-    def __init__(self, binding: str):
+    def __init__(self, binding: str, postcondition: Formula, t_task_max: int,
+                 choose: Chooser | None = None):
         super().__init__()
         self.binding = binding
-        self.runner = None
+        self.postcondition = postcondition
+        self.t_task_max = t_task_max
+        self.choose = choose
+        self.post_fn = compile_prop(postcondition)
 
     def tick(self, ctx):
-        if self.runner is None:
-            raise UnboundAction(self.binding)
-        return self.runner.tick(ctx)
+        if self.post_fn(ctx.state):
+            return SUCCESS if ctx.t <= self.t_task_max else FAILURE
+        if ctx.t >= self.t_task_max:
+            return FAILURE
+        env_action = self.choose(ctx.state, ctx.rng) if self.choose else None
+        if env_action is not None:
+            if ctx.pending is not None:
+                raise ConcurrentActionConflict(
+                    f"{self.binding!r} and {ctx.pending[0]!r} both fired at tick {ctx.t}")
+            ctx.pending = (self.binding, env_action)
+        return RUNNING
 
 
 class FinallyReset(DecoratorNode):
@@ -260,7 +275,7 @@ class MissionRunner:
     ``resets``, Finally id -> resets used.  A reset clears latches, not
     reset counts, so an ancestor's reset does not re-arm a budget.  The
     reserved ``__action_*`` propositions are appended to each state from
-    the bound runners' postconditions before the tree sees it.
+    the action nodes' postconditions before the tree sees it.
     """
 
     def __init__(self, tree: BtNode, rng: Random | None = None):
@@ -274,21 +289,15 @@ class MissionRunner:
         self.pending: tuple[str, object] | None = None
         self._action_props: dict[str, Callable[[StateVector], bool]] = {}
         for node in iter_nodes(tree):
-            if isinstance(node, Action) and node.runner is not None:
+            if isinstance(node, ActionRunner):
                 self._action_props.setdefault(ACTION_PREFIX + node.binding,
-                                              node.runner.post_fn)
+                                              node.post_fn)
 
     def augment(self, env_state: StateVector) -> StateVector:
         state = dict(env_state)
         for name, post_fn in self._action_props.items():
             state[name] = post_fn(env_state)
         return state
-
-    def request_action(self, binding: str, env_action) -> None:
-        if self.pending is not None:
-            raise ConcurrentActionConflict(
-                f"{binding!r} and {self.pending[0]!r} both fired at tick {self.t}")
-        self.pending = (binding, env_action)
 
     def tick_once(self, env_state: StateVector) -> Status:
         self.state = self.augment(env_state)

@@ -49,16 +49,26 @@ SWEEP_AXES = ("r_other", "r_good", "r_fire", "p_in")
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)  # a bool is an int, but not a number here
+    # a bool is an int, but not a number here; nor are NaN, the infinities
+    # and ints too large for a float (int-float comparison is exact)
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 # what each key of a sweep config must hold
 _SWEEP_KEYS = {
-    **dict.fromkeys(SWEEP_AXES, ("a non-empty list of numbers", lambda v: (
+    **dict.fromkeys(SWEEP_AXES, ("a non-empty list of finite numbers", lambda v: (
         isinstance(v, list) and v != [] and all(map(_is_number, v))))),
-    "gamma": ("a number", _is_number),
+    "gamma": ("a finite number", _is_number),
     "n_trials": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
 }
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of the count options."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -286,7 +296,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("compile", help="mission file to BT JSON and DOT")
     common(p)
-    p.add_argument("--theta", type=int, default=1)
+    p.add_argument("--theta", type=non_negative_int, default=1)
     p.add_argument("--max-trace", type=int, default=50)
     p.add_argument("--dot", help="write Graphviz text here")
     p.set_defaults(fn=cmd_compile)
@@ -294,16 +304,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="reward/p_in sweep with policy iteration")
     common(p, mission=False)
     p.add_argument("--config", help="JSON overriding the sweep value sets")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=non_negative_int, default=None)
     p.add_argument("--max-trace", type=int, default=50)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("learn", help="BT-feedback learning runs plus inference")
     common(p, mission=False)
     p.add_argument("--p-in", default="0.95", help="comma-separated p_in values")
-    p.add_argument("--runs", type=int, default=50)
-    p.add_argument("--episodes", type=int, default=200)
-    p.add_argument("--trials", type=int, default=50,
+    p.add_argument("--runs", type=non_negative_int, default=50)
+    p.add_argument("--episodes", type=non_negative_int, default=200)
+    p.add_argument("--trials", type=non_negative_int, default=50,
                    help="inference trials per learned policy")
     p.add_argument("--max-trace", type=int, default=50)
     p.add_argument("--discount", type=float, default=0.9)
@@ -315,22 +325,22 @@ def build_parser() -> _Parser:
     common(p, mission=False)
     p.add_argument("--policy", required=True, help="policy JSON path")
     p.add_argument("--p-in", dest="p_in_single", type=float, default=0.95)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=non_negative_int, default=50)
     p.add_argument("--max-trace", type=int, default=50)
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("verify", help="bounded soundness check")
     common(p)
-    p.add_argument("--missions", type=int, default=50,
+    p.add_argument("--missions", type=non_negative_int, default=50,
                    help="fuzzed corpus size when no mission file is given")
     p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--theta", type=int, default=1)
+    p.add_argument("--theta", type=non_negative_int, default=1)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("keydoor", help="scripted key-door trials")
     common(p, mission=False)
     p.add_argument("--mode", choices=["both", "baseline", "bt"], default="both")
-    p.add_argument("--theta", type=int, default=1)
+    p.add_argument("--theta", type=non_negative_int, default=1)
     p.add_argument("--irreversible", action="store_true")
     p.set_defaults(fn=cmd_keydoor)
 

@@ -21,7 +21,6 @@ import numpy as np
 
 Cell = tuple[int, int]
 
-ACTIONS = ("Up", "Down", "Left", "Right")
 UP, DOWN, LEFT, RIGHT = range(4)
 _DELTA = {UP: (0, 1), DOWN: (0, -1), LEFT: (-1, 0), RIGHT: (1, 0)}
 _PERP = {UP: (LEFT, RIGHT), DOWN: (LEFT, RIGHT),
@@ -123,11 +122,9 @@ class GridEnv:
     def propositions(self) -> dict[str, bool]:
         return propositions(self.state, self.cfg)
 
-    def apply(self, action) -> None:
-        if action is None:
-            return
-        idx = ACTIONS.index(action) if isinstance(action, str) else int(action)
-        self.state, _ = step(self.state, idx, self.cfg, self.rng)
+    def apply(self, action: int | None) -> None:
+        if action is not None:
+            self.state, _ = step(self.state, action, self.cfg, self.rng)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from . import bt
-from .compiler import ActionRunner, bind_actions, compile_mission
+from .compiler import compile_mission
 from .ltlf import Trace, evaluate
 from .mission import MissionConfig, expand_mission, mission_alphabet, tasks_of
 from .missions import KEYDOOR_ATOMS, build_keydoor
@@ -137,14 +137,12 @@ def run_baseline_trial(script: ScenarioScript) -> dict:
 
 @cache
 def _bt_mission(theta: int, t_task_max: int):
-    """The bound key-door tree, its goal formula and the trace alphabet,
+    """The key-door tree, its goal formula and the trace alphabet,
     shared by every trial: node memory lives in each run's MissionRunner."""
     expr = build_keydoor()
     cfg = MissionConfig(t_task_max=t_task_max, theta=theta, alphabet=KEYDOOR_ATOMS)
-    tree = compile_mission(expr, cfg)
-    bind_actions(tree, {
-        task.action: ActionRunner(task.action, task.poc, t_task_max,
-                                  lambda state, rng, stage=task.action: stage)
+    tree = compile_mission(expr, cfg, choose={
+        task.action: lambda state, rng, stage=task.action: stage
         for task in tasks_of(expr)})
     return tree, expand_mission(expr), mission_alphabet(expr, KEYDOOR_ATOMS)
 

@@ -20,7 +20,7 @@ from random import Random
 import numpy as np
 
 from . import bt, gridworld as gw
-from .compiler import ActionRunner, bind_actions, compile_mission
+from .compiler import compile_mission
 from .ltlf import Trace
 from .mission import MissionConfig, MissionExpr, expand_mission, mission_alphabet, tasks_of
 from .verify import audit_trace
@@ -257,14 +257,12 @@ class C2hRuntime:
         self.alphabet = mission_alphabet(expr, gw.grid_alphabet(grid_cfg))
         mcfg = MissionConfig(t_task_max=max_trace, theta=0,
                              alphabet=self.alphabet)
-        self.tree = compile_mission(expr, mcfg)
         self.env: gw.GridEnv | None = None
         self.pairs: list[tuple[str, int, str]] = []
-        runners = {spec.action: self._runner(spec, phase, mcfg)
-                   for spec, phase in zip(specs, PHASES)}
-        bind_actions(self.tree, runners)
+        self.tree = compile_mission(expr, mcfg, choose={
+            spec.action: self._chooser(phase) for spec, phase in zip(specs, PHASES)})
 
-    def _runner(self, spec, phase: str, mcfg: MissionConfig) -> ActionRunner:
+    def _chooser(self, phase: str) -> bt.Chooser:
         policy = self.policy
         pairs = self.pairs
 
@@ -274,7 +272,7 @@ class C2hRuntime:
             pairs.append((key, action, phase))
             return action
 
-        return ActionRunner(spec.action, spec.poc, mcfg.t_task_max, choose)
+        return choose
 
     def run_episode(self, seed: int, start_cell=None) -> tuple[bt.Status, list, EpisodeRecord]:
         rng = Random(seed)

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 from random import Random
 
 from . import bt, ltlf, mission as ms
-from .compiler import bind_scripted, compile_mission
+from .compiler import compile_mission
 from .ltlf import Atom, Formula, Trace, evaluate
 
 
@@ -130,9 +130,10 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
                     bound: int) -> InclusionReport:
     """Run the tree on every proposition stream up to the length bound.
 
-    Action nodes must be bound to scripted runners; the reserved action
-    propositions are derived from postconditions, not enumerated.  Every
-    Success outcome's trace must satisfy the formula.
+    The tree's action nodes must be scripted (no ``choose``): the streams
+    stand in for the world.  The reserved action propositions are derived
+    from the nodes' postconditions, not enumerated.  Every Success
+    outcome's trace must satisfy the formula.
     """
     names = _guard(alphabet, bound)
     valuations = [dict(zip(names, row))
@@ -167,10 +168,10 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
 
 def check_mission(expr: ms.MissionExpr, alphabet, bound: int,
                   theta: int = 1) -> InclusionReport:
-    """Compile, bind scripted runners, and exhaustively check one mission."""
+    """Compile with scripted actions, and exhaustively check one mission."""
     cfg = ms.MissionConfig(t_task_max=bound, theta=theta,
                            alphabet=frozenset(alphabet))
-    tree = bind_scripted(compile_mission(expr, cfg), expr, cfg)
+    tree = compile_mission(expr, cfg)
     formula = ms.expand_mission(expr)
     return check_inclusion(tree, formula, alphabet, bound)
 

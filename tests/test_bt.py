@@ -6,12 +6,12 @@ import pytest
 from helpers import StaticEnv, StubNode
 from ppabt import ltlf
 from ppabt.bt import (
-    Action, Condition, ConcurrentActionConflict, FAILURE, FinallyReset,
+    ActionRunner, Condition, ConcurrentActionConflict, FAILURE, FinallyReset,
     MissionRoot, MissionRunner, Parallel, PreconditionLatch, RUNNING, SUCCESS,
-    Selector, Sequence, TaskBoundary, UnboundAction, assign_ids, bt_to_json,
-    export_dot, iter_nodes, node_count, run_to_completion,
+    Selector, Sequence, TaskBoundary, assign_ids, bt_to_json, export_dot,
+    iter_nodes, node_count, run_to_completion,
 )
-from ppabt.compiler import ActionRunner, bind_actions, bind_scripted, compile_mission, compile_task
+from ppabt.compiler import bind_scripted, compile_mission, compile_task
 from ppabt.mission import MissionConfig, parse_mission, ppa_task
 
 A = ltlf.Atom
@@ -47,8 +47,7 @@ class TestControlNodes:
         assert right.ticks == 0
 
     def test_sequence_never_ticks_action_after_failing_condition(self):
-        act = Action("x")
-        act.runner = ActionRunner("x", A("done"), 10, choose=lambda s, r: "go")
+        act = ActionRunner("x", A("done"), 10, choose=lambda s, r: "go")
         tree = assign_ids(Sequence([Condition(A("a")), act]))
         status, ctx = tick_tree(tree, {"a": False, "done": False})
         assert status is FAILURE
@@ -156,8 +155,7 @@ class TestDecorators:
     def test_ancestor_reset_clears_descendant_memory(self):
         # inner Finally: one reset on tick 0, running on tick 1, success
         # on tick 2, where the failing stub makes the outer Finally reset
-        act = Action("x")
-        act.runner = ActionRunner("x", A("done"), 10, choose=lambda s, r: "go")
+        act = ActionRunner("x", A("done"), 10, choose=lambda s, r: "go")
         inner = FinallyReset(Sequence([Condition(A("ok")), act]), theta=2)
         outer = assign_ids(FinallyReset(Sequence([inner, StubNode([FAILURE])]), theta=1))
         runner = MissionRunner(outer)
@@ -303,33 +301,18 @@ class TestRunToCompletion:
 
 
 class TestActionContract:
-    def test_unbound_action_raises_at_tick(self):
-        tree = assign_ids(Action("ghost"))
-        with pytest.raises(UnboundAction):
-            tick_tree(tree, {})
-
-    def test_bind_actions_rejects_missing_binding(self):
-        expr = parse_mission("& task(a, post=Cheese) task(b, post=Home)", GRID)
-        tree = compile_mission(expr, CFG)
-        with pytest.raises(UnboundAction) as err:
-            bind_actions(tree, {"a": ActionRunner("a", A("Cheese"), 10)})
-        assert err.value.binding == "b"
-
     def test_concurrent_actions_conflict(self):
         def always_move(state, rng):
             return "go"
 
-        r1 = ActionRunner("a", A("Cheese"), 10, choose=always_move)
-        r2 = ActionRunner("b", A("Home"), 10, choose=always_move)
         expr = parse_mission("& task(a, post=Cheese) task(b, post=Home)", GRID)
-        tree = bind_actions(compile_mission(expr, CFG), {"a": r1, "b": r2})
+        tree = compile_mission(expr, CFG, choose={"a": always_move, "b": always_move})
         env = StaticEnv(GRID, [{}])
         with pytest.raises(ConcurrentActionConflict):
             run_to_completion(tree, env, max_trace=5)
 
     def test_runner_success_requires_post_within_budget(self):
-        act = assign_ids(Action("x"))
-        act.runner = ActionRunner("x", A("p"), t_task_max=3)
+        act = assign_ids(ActionRunner("x", A("p"), t_task_max=3))
         assert tick_tree(act, {"p": True}, t=3)[0] is SUCCESS
         assert tick_tree(act, {"p": True}, t=4)[0] is FAILURE
         assert tick_tree(act, {"p": False}, t=2)[0] is RUNNING

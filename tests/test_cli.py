@@ -150,13 +150,32 @@ class TestMalformedInput:
     @pytest.mark.parametrize("data", [
         [1], {"p_in": 0.5}, {"p_in": ["a"]}, {"p_in": [True]}, {"p_in": []},
         {"gamma": "x"}, {"n_trials": "3"}, {"n_trials": -1}, {"seed": 5},
+        {"r_other": [float("nan")]}, {"r_good": [float("inf")]}, {"r_good": [10 ** 400]},
     ], ids=["list", "scalar_value_set", "string_value", "bool_value", "empty_value_set",
-            "string_gamma", "string_n_trials", "negative_n_trials", "seed_key"])
+            "string_gamma", "string_n_trials", "negative_n_trials", "seed_key",
+            "nan_value", "infinite_value", "int_past_float_range"])
     def test_sweep_malformed_config(self, tmp_path, capsys, data):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(data))
         assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
         assert_single_error_line(capsys, "sweep config")
+
+    @pytest.mark.parametrize("argv", [
+        ["infer", "--policy", "policy.json", "--trials", "-1"],
+        ["learn", "--runs", "-1"],
+        ["learn", "--episodes", "-1"],
+        ["verify", "--missions", "-1"],
+        ["verify", "--theta", "-1"],
+        ["sweep", "--trials", "-1"],
+    ], ids=["infer_trials", "learn_runs", "learn_episodes", "verify_missions",
+            "verify_theta", "sweep_trials"])
+    def test_negative_count_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "must not be negative" in errors[0]
 
     def test_parse_mission_directory(self, tmp_path, capsys):
         assert main(["parse", "--mission", str(tmp_path)]) == EXIT_USAGE
@@ -188,6 +207,19 @@ class TestVerifyKeydoor:
         path = tmp_path / "m.mission"
         path.write_text("task(t, post=a, gc=!b)\n")
         assert main(["verify", "--mission", str(path), "--bound", "4"]) == EXIT_OK
+
+    def test_verify_action_shared_with_two_postconditions(self, tmp_path, capsys):
+        path = tmp_path / "m.mission"
+        path.write_text("& task(a, post=P, action=m) task(b, post=Q, action=m)\n")
+        assert main(["verify", "--mission", str(path), "--bound", "3"]) == EXIT_USAGE
+        assert_single_error_line(capsys, "share action 'm'")
+
+    def test_verify_action_shared_with_one_postcondition(self, tmp_path, capsys):
+        path = tmp_path / "m.mission"
+        path.write_text("& task(a, post=P, action=m) task(b, post=P, action=m)\n")
+        assert main(["verify", "--mission", str(path), "--bound", "4"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_violations"] == 0 and report["n_bt_success_traces"] > 0
 
     @pytest.mark.parametrize("alphabet", [[], ["--alphabet", (
         "NoErr,KeyStacked,IsKeyDoor,VisibleKeyDoor,KeyDoorPassive,PrizePassive,"

@@ -1,13 +1,21 @@
+import itertools
 import random
+
+import pytest
 
 from helpers import derive_mission_text
 from ppabt import ltlf
 from ppabt.bt import (
-    Action, Condition, FinallyReset, MissionRoot, Parallel, PreconditionLatch,
-    Selector, Sequence, TaskBoundary, bt_to_json, export_dot, node_count,
+    ActionRunner, Condition, FinallyReset, MissionRoot, MissionRunner, Parallel,
+    PreconditionLatch, SUCCESS, Selector, Sequence, TaskBoundary, bt_to_json,
+    export_dot, iter_nodes, node_count,
 )
-from ppabt.compiler import compile_mission, compile_task
-from ppabt.mission import MissionConfig, parse_mission, ppa_task
+from ppabt.compiler import bind_scripted, compile_mission, compile_task
+from ppabt.gridworld import GridConfig
+from ppabt.keydoor import _bt_mission
+from ppabt.missions import KEYDOOR_ATOMS, build_c2h, build_keydoor
+from ppabt.mission import MissionConfig, MissionError, parse_mission, ppa_task, tasks_of
+from ppabt.planners import C2hRuntime, Policy
 
 GRID = {"Cheese", "Fire", "Home"}
 CFG = MissionConfig(t_task_max=50, theta=1, alphabet=frozenset(GRID))
@@ -42,8 +50,12 @@ class TestCompileTask:
         tc_node, act_seq = until.children
         assert isinstance(tc_node, Condition) and tc_node.prop == spec.tc
         assert isinstance(act_seq, Sequence)
-        assert isinstance(act_seq.children[0], Action)
-        assert act_seq.children[0].binding == spec.action
+        action = act_seq.children[0]
+        assert isinstance(action, ActionRunner)
+        assert action.binding == spec.action
+        assert action.postcondition == spec.poc
+        assert action.t_task_max == CFG.t_task_max
+        assert action.choose is None
         assert isinstance(act_seq.children[1], Condition)
         assert act_seq.children[1].prop == spec.gc
 
@@ -129,3 +141,55 @@ class TestCompileMission:
         assert dot.count("◇ task") == 2
         assert dot.count("◇ F") == 2
         assert "◇ root" in dot
+
+
+def action_nodes(tree):
+    return [node for node in iter_nodes(tree) if isinstance(node, ActionRunner)]
+
+
+class TestActionNodes:
+    def test_choose_map_reaches_its_action_only(self):
+        def go(state, rng):
+            return "go"
+
+        expr = parse_mission("& task(a, post=Cheese) task(b, post=Home)", GRID)
+        tree = compile_mission(expr, CFG, choose={"a": go, "unused": go})
+        assert {n.binding: n.choose for n in action_nodes(tree)} == {"a": go, "b": None}
+        bind_scripted(tree, expr, CFG)
+        assert [n.choose for n in action_nodes(tree)] == [None, None]
+
+    def test_shared_action_needs_one_postcondition(self):
+        expr = parse_mission(
+            "& task(a, post=P, action=m) task(b, post=Q, action=m)", {"P", "Q"})
+        with pytest.raises(MissionError, match="share action 'm'"):
+            compile_mission(expr, CFG)
+        same = parse_mission(
+            "& task(a, post=P, action=m) task(b, post=P, action=m)", {"P"})
+        nodes = action_nodes(compile_mission(same, CFG))
+        assert [(n.binding, n.postcondition) for n in nodes] == \
+            [("m", ltlf.Atom("P"))] * 2
+
+    @pytest.mark.parametrize("scenario", ["c2h", "keydoor"])
+    def test_compiled_action_carries_its_task(self, scenario):
+        if scenario == "c2h":
+            grid = GridConfig(p_in=0.8)
+            expr = build_c2h(grid)
+            runtime = C2hRuntime(expr, grid, Policy(), 50)
+            tree, t_task_max, atoms = runtime.tree, 50, ("Cheese", "Fire", "Home")
+        else:
+            expr = build_keydoor()
+            tree, t_task_max, atoms = _bt_mission(1, 60)[0], 60, sorted(KEYDOOR_ATOMS)
+        specs = {spec.action: spec for spec in tasks_of(expr)}
+        nodes = action_nodes(tree)
+        assert sorted(n.binding for n in nodes) == sorted(specs)
+        for node in nodes:
+            spec = specs[node.binding]
+            assert node.postcondition == spec.poc
+            assert node.t_task_max == t_task_max
+            assert node.choose is not None
+            runner = MissionRunner(node)
+            for row in itertools.product((False, True), repeat=len(atoms)):
+                state = dict(zip(atoms, row))
+                runner.state, runner.t = state, t_task_max
+                holds = ltlf.evaluate(spec.poc, ltlf.Trace([state], frozenset(atoms)), 0)
+                assert (node.tick(runner) is SUCCESS) == holds, (node.binding, state)

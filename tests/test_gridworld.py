@@ -159,7 +159,7 @@ class TestGridEnv:
         env = GridEnv(CFG, Random(1))
         props = env.propositions()
         assert set(props) == grid_alphabet(CFG)
-        env.apply("Up")
+        env.apply(UP)
         env.apply(None)  # idle ticks allowed
         assert CFG.in_bounds(env.state.mouse_cell)
 
