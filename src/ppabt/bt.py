@@ -7,7 +7,8 @@ context: every node ticks against it and reads the current state, the
 tick counter and the random source from it.  It also owns the only
 node memory, the set of latched decorators and the Finally reset
 counts, so a whole execution can be snapshotted and restored, and one
-tree can serve any number of runs.
+tree can serve any number of runs.  States are recorded as the
+environment gave them; formulas are read through ``ltlf`` alone.
 
 Every node lists its ``children`` (none on leaves) and describes itself
 to the writers: ``kind`` names it in JSON, ``symbol`` and ``shape`` draw
@@ -23,7 +24,6 @@ from random import Random
 from typing import Callable, Iterator
 
 from .ltlf import Formula, StateVector, compile_prop, formula_to_json
-from .mission import ACTION_PREFIX
 
 
 class Status(Enum):
@@ -273,9 +273,9 @@ class MissionRunner:
     ``pending`` environment action, the trace and the node memory:
     ``latched``, the ids of the decorators stuck at Success, and
     ``resets``, Finally id -> resets used.  A reset clears latches, not
-    reset counts, so an ancestor's reset does not re-arm a budget.  The
-    reserved ``__action_*`` propositions are appended to each state from
-    the action nodes' postconditions before the tree sees it.
+    reset counts, so an ancestor's reset does not re-arm a budget.  Each
+    state is kept as given, uncopied, so the trace holds exactly the
+    environment's atoms; nothing may mutate a state once it is ticked.
     """
 
     def __init__(self, tree: BtNode, rng: Random | None = None):
@@ -287,21 +287,10 @@ class MissionRunner:
         self.t = 0
         self.trace_states: list[StateVector] = []
         self.pending: tuple[str, object] | None = None
-        self._action_props: dict[str, Callable[[StateVector], bool]] = {}
-        for node in iter_nodes(tree):
-            if isinstance(node, ActionRunner):
-                self._action_props.setdefault(ACTION_PREFIX + node.binding,
-                                              node.post_fn)
-
-    def augment(self, env_state: StateVector) -> StateVector:
-        state = dict(env_state)
-        for name, post_fn in self._action_props.items():
-            state[name] = post_fn(env_state)
-        return state
 
     def tick_once(self, env_state: StateVector) -> Status:
-        self.state = self.augment(env_state)
-        self.trace_states.append(self.state)
+        self.state = env_state
+        self.trace_states.append(env_state)
         self.pending = None
         status = self.tree.tick(self)
         self.t += 1

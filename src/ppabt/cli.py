@@ -283,11 +283,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ppabt")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, mission=True):
+    def common(p, mission=True, seed_help=None):
         if mission:
             p.add_argument("--mission", help="mission file (default: built-in C2H)")
             p.add_argument("--alphabet", help="comma-separated atoms")
-        p.add_argument("--seed", type=int, default=0)
+        if seed_help is not None:
+            p.add_argument("--seed", type=int, default=0, help=seed_help)
         p.add_argument("--out", help="output path")
 
     p = sub.add_parser("parse", help="mission file to AST and formula JSON")
@@ -302,14 +303,14 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("sweep", help="reward/p_in sweep with policy iteration")
-    common(p, mission=False)
+    common(p, mission=False, seed_help="base of the per-cell seeds")
     p.add_argument("--config", help="JSON overriding the sweep value sets")
     p.add_argument("--trials", type=non_negative_int, default=None)
     p.add_argument("--max-trace", type=int, default=50)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("learn", help="BT-feedback learning runs plus inference")
-    common(p, mission=False)
+    common(p, mission=False, seed_help="base of the per-run seeds")
     p.add_argument("--p-in", default="0.95", help="comma-separated p_in values")
     p.add_argument("--runs", type=non_negative_int, default=50)
     p.add_argument("--episodes", type=non_negative_int, default=200)
@@ -322,7 +323,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_learn)
 
     p = sub.add_parser("infer", help="evaluate a stored policy")
-    common(p, mission=False)
+    common(p, mission=False, seed_help="grid and trial seed")
     p.add_argument("--policy", required=True, help="policy JSON path")
     p.add_argument("--p-in", dest="p_in_single", type=float, default=0.95)
     p.add_argument("--trials", type=non_negative_int, default=50)
@@ -330,11 +331,14 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("verify", help="bounded soundness check")
-    common(p)
+    p.add_argument("--mission", help="mission file to check (default: a fuzzed corpus)")
+    p.add_argument("--alphabet", help="comma-separated atoms; only with --mission")
+    common(p, mission=False, seed_help="fuzzed corpus seed; only without --mission")
     p.add_argument("--missions", type=non_negative_int, default=50,
-                   help="fuzzed corpus size when no mission file is given")
+                   help="fuzzed corpus size; only without --mission")
     p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--theta", type=non_negative_int, default=1)
+    p.add_argument("--theta", type=non_negative_int, default=1,
+                   help="Finally retry budget; only with --mission")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("keydoor", help="scripted key-door trials")

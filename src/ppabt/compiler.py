@@ -14,8 +14,8 @@ true, re-checking the global constraint after the action each tick.
 Each action node is built whole, with its task's postcondition, the
 mission's ``t_task_max`` and its chooser from the ``choose`` map (action
 name -> ``choose(state, rng)``); an action missing from the map is
-scripted.  Tasks that share an action must share its postcondition,
-which the reserved ``__action_<m>`` proposition is derived from.
+scripted.  Tasks that share an action must share its postcondition:
+``inline_actions`` substitutes it for the reserved ``__action_<m>`` atom.
 
 Mission operators map onto control nodes: or to selector, and to
 parallel, until to sequence (left subtree must succeed before the right
@@ -25,7 +25,7 @@ mission time budget.
 
 from __future__ import annotations
 
-from . import mission as ms
+from . import ltlf, mission as ms
 from .bt import (
     ActionRunner, BtNode, Chooser, Condition, FinallyReset, MissionRoot,
     Parallel, PreconditionLatch, Selector, Sequence, TaskBoundary, assign_ids,
@@ -80,3 +80,11 @@ def bind_scripted(tree: BtNode, expr: ms.MissionExpr, cfg: ms.MissionConfig) -> 
         if isinstance(node, ActionRunner):
             node.choose = None
     return tree
+
+
+def inline_actions(formula: ltlf.Formula, tree: BtNode) -> ltlf.Formula:
+    """The expanded goal formula with each ``__action_<m>`` atom replaced
+    by the postcondition of the tree's action node bound to ``m``."""
+    post = {ms.ACTION_PREFIX + node.binding: node.postcondition
+            for node in iter_nodes(tree) if isinstance(node, ActionRunner)}
+    return ltlf.map_leaves(formula, lambda atom: post.get(atom.name, atom))

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from . import bt
-from .compiler import compile_mission
+from .compiler import compile_mission, inline_actions
 from .ltlf import Trace, evaluate
-from .mission import MissionConfig, expand_mission, mission_alphabet, tasks_of
+from .mission import MissionConfig, expand_mission, tasks_of
 from .missions import KEYDOOR_ATOMS, build_keydoor
 
 STAGES = ("key", "door", "prize")
@@ -87,6 +87,7 @@ class KeyDoorWorld:
         self._restore: list[tuple[str, bool]] = []
 
     def propositions(self) -> dict[str, bool]:
+        # a copy: ``apply`` mutates ``props``, and the trace keeps this dict
         return dict(self.props)
 
     def apply(self, action) -> None:
@@ -137,25 +138,25 @@ def run_baseline_trial(script: ScenarioScript) -> dict:
 
 @cache
 def _bt_mission(theta: int, t_task_max: int):
-    """The key-door tree, its goal formula and the trace alphabet,
+    """The key-door tree and its goal formula, action propositions inlined,
     shared by every trial: node memory lives in each run's MissionRunner."""
     expr = build_keydoor()
     cfg = MissionConfig(t_task_max=t_task_max, theta=theta, alphabet=KEYDOOR_ATOMS)
     tree = compile_mission(expr, cfg, choose={
         task.action: lambda state, rng, stage=task.action: stage
         for task in tasks_of(expr)})
-    return tree, expand_mission(expr), mission_alphabet(expr, KEYDOOR_ATOMS)
+    return tree, inline_actions(expand_mission(expr), tree)
 
 
 def run_bt_trial(script: ScenarioScript) -> dict:
     """Run the compiled key-door mission against the scripted world and
     audit a successful trace against the expanded mission formula."""
-    tree, goal, alphabet = _bt_mission(script.theta, script.t_task_max)
+    tree, goal = _bt_mission(script.theta, script.t_task_max)
     world = KeyDoorWorld(script)
     status, trace_states, runner = bt.run_to_completion(tree, world,
                                                         script.max_trace)
     success = status is bt.SUCCESS
-    sound = not success or evaluate(goal, Trace(trace_states, alphabet), 0)
+    sound = not success or evaluate(goal, Trace(trace_states, KEYDOOR_ATOMS), 0)
     return {"mode": "bt", "success": success, "ticks": len(trace_states),
             "failed_stage": None if success else _failed_stage(world),
             "resets": runner.total_resets(), "sound": sound}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable, Iterator
 
 StateVector = dict[str, bool]
@@ -150,10 +150,12 @@ def is_propositional(formula: Formula) -> bool:
 
 
 def map_leaves(formula: Formula, fn: Callable[[Formula], Formula]) -> Formula:
-    """The formula with every leaf ``f`` replaced by ``fn(f)``."""
+    """The formula with every leaf ``f`` replaced by ``fn(f)``; subformulas
+    whose leaves all stay are kept, so shared ones stay shared."""
     if not formula.args:
         return fn(formula)
-    return type(formula)(*(map_leaves(arg, fn) for arg in formula.args))
+    args = tuple(map_leaves(arg, fn) for arg in formula.args)
+    return formula if all(map(is_, args, formula.args)) else type(formula)(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ the goal formula
 
     (G gc & poc)  |  ((G gc & F pre) & (tc U (action & G gc)))
 
-where ``action`` is the reserved proposition ``__action_<name>`` that
-tracks whether the task's postcondition currently holds.
+where ``action`` is the reserved proposition ``__action_<name>``, true
+exactly when the task's postcondition holds.  Audits substitute the
+postcondition for it, so traces hold only the environment's atoms.
 """
 
 from __future__ import annotations
@@ -116,11 +117,6 @@ class MissionConfig:
 def tasks_of(expr: MissionExpr) -> list[PpaTaskSpec]:
     """Task specs in the order their literals appear in the mission text."""
     return [f.spec for f in ltlf.subformulas(expr) if isinstance(f, Task)]
-
-
-def mission_alphabet(expr: MissionExpr, base: frozenset[str]) -> frozenset[str]:
-    """Base alphabet plus the reserved action proposition of every task."""
-    return frozenset(base) | {spec.action_atom for spec in tasks_of(expr)}
 
 
 # ---------------------------------------------------------------------------

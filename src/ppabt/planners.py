@@ -14,15 +14,16 @@ to a small floor and renormalized so they stay proper distributions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from random import Random
 
 import numpy as np
 
 from . import bt, gridworld as gw
-from .compiler import compile_mission
+from .compiler import compile_mission, inline_actions
 from .ltlf import Trace
-from .mission import MissionConfig, MissionExpr, expand_mission, mission_alphabet, tasks_of
+from .mission import MissionConfig, MissionExpr, expand_mission, tasks_of
 from .verify import audit_trace
 
 PHASES = ("C", "H")
@@ -81,7 +82,8 @@ class Policy:
     def validate(self, tol: float = 1e-9) -> None:
         for phase, table in self.tables.items():
             for key, row in table.items():
-                if len(row) != 4 or min(row) < 0 or abs(sum(row) - 1.0) > tol:
+                if (len(row) != 4 or not all(map(math.isfinite, row)) or min(row) < 0
+                        or abs(sum(row) - 1.0) > tol):
                     raise ValueError(f"invalid row {row} at ({phase}, {key})")
 
     def to_json(self) -> dict:
@@ -241,7 +243,7 @@ class C2hRuntime:
     first task's action samples from phase C, the second from phase H,
     keyed by the mouse cell of the episode's grid ``env``.  Each sampled
     (state, action) pair is recorded with its phase for the end-of-episode
-    update.
+    update.  Traces hold the grid's atoms; ``formula`` inlines the actions.
     """
 
     def __init__(self, expr: MissionExpr, grid_cfg: gw.GridConfig,
@@ -253,14 +255,13 @@ class C2hRuntime:
         self.grid_cfg = grid_cfg
         self.policy = policy
         self.max_trace = max_trace
-        self.formula = expand_mission(expr)
-        self.alphabet = mission_alphabet(expr, gw.grid_alphabet(grid_cfg))
-        mcfg = MissionConfig(t_task_max=max_trace, theta=0,
-                             alphabet=self.alphabet)
+        self.alphabet = gw.grid_alphabet(grid_cfg)
+        mcfg = MissionConfig(t_task_max=max_trace, theta=0, alphabet=self.alphabet)
         self.env: gw.GridEnv | None = None
         self.pairs: list[tuple[str, int, str]] = []
         self.tree = compile_mission(expr, mcfg, choose={
             spec.action: self._chooser(phase) for spec, phase in zip(specs, PHASES)})
+        self.formula = inline_actions(expand_mission(expr), self.tree)
 
     def _chooser(self, phase: str) -> bt.Chooser:
         policy = self.policy
@@ -286,8 +287,7 @@ class C2hRuntime:
         return status, trace_states, record
 
     def audit(self, status: bt.Status, trace_states) -> bool:
-        trace = Trace(trace_states, self.alphabet)
-        return audit_trace(self.formula, trace, status)
+        return audit_trace(self.formula, Trace(trace_states, self.alphabet), status)
 
 
 def learn(expr: MissionExpr, grid_cfg: gw.GridConfig,

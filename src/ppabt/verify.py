@@ -3,9 +3,9 @@
 The claim under test: whenever a compiled tree reports Success, the
 recorded trace satisfies the mission's goal formula.  ``check_inclusion``
 drives a tree through every proposition stream up to a length bound
-(actions replaced by scripted proposition evolution, with the reserved
-action propositions derived from each task's postcondition) and audits
-every successful run.
+(actions replaced by scripted proposition evolution) and audits every
+successful run, each reserved action proposition read as its task's
+postcondition.
 
 ``evaluate_reference`` is a second, deliberately naive evaluator written
 straight from the satisfaction relation with explicit quantifier loops
@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 from random import Random
 
 from . import bt, ltlf, mission as ms
-from .compiler import compile_mission
+from .compiler import compile_mission, inline_actions
 from .ltlf import Atom, Formula, Trace, evaluate
 
 
@@ -131,17 +131,17 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
     """Run the tree on every proposition stream up to the length bound.
 
     The tree's action nodes must be scripted (no ``choose``): the streams
-    stand in for the world.  The reserved action propositions are derived
-    from the nodes' postconditions, not enumerated.  Every Success
-    outcome's trace must satisfy the formula.
+    stand in for the world.  The reserved action propositions of
+    ``formula`` are inlined from the nodes' postconditions, not
+    enumerated.  Every Success outcome's trace must satisfy the formula.
     """
     names = _guard(alphabet, bound)
+    formula = inline_actions(formula, tree)
     valuations = [dict(zip(names, row))
                   for row in itertools.product((False, True), repeat=len(names))]
     report = InclusionReport(bound=bound, alphabet_size=len(names))
     runner = bt.MissionRunner(tree)
-    # the enumerated atoms plus the action propositions the runner derives
-    trace_alpha = frozenset(runner.augment(valuations[0]))
+    trace_alpha = frozenset(names)
 
     def visit(depth: int) -> None:
         # every valuation ticks from the same pre-tick state; restore
@@ -151,10 +151,9 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
             status = runner.tick_once(valuation)
             if status is bt.SUCCESS:
                 report.n_bt_success_traces += 1
-                # each tick builds a fresh state dict that nothing mutates
+                # the valuations are shared by every stream and only read
                 states = list(runner.trace_states)
-                trace = Trace(states, trace_alpha)
-                if not evaluate(formula, trace, 0):
+                if not evaluate(formula, Trace(states, trace_alpha), 0):
                     report.n_violations += 1
                     if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
                         report.counterexamples.append(states)

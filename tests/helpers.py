@@ -1,5 +1,6 @@
 """Shared test scaffolding: fuzzers, scripted environments, stub nodes,
-language enumeration and a mission outside the sound fragment."""
+language enumeration, the action propositions of the printed goal
+formula and a mission outside the sound fragment."""
 
 import itertools
 import sys
@@ -146,6 +147,22 @@ def enumerate_language(formula, alphabet, max_len, evaluator=ltlf.evaluate):
             if evaluator(formula, ltlf.Trace(states, alpha), 0):
                 found.add(combo)
     return found
+
+
+def mission_alphabet(expr, base):
+    """Base alphabet plus the reserved action proposition of every task:
+    the atoms the printed goal formula reads."""
+    return frozenset(base) | {spec.action_atom for spec in ms.tasks_of(expr)}
+
+
+def with_action_props(expr, states):
+    """Each state plus every task's ``__action_<m>`` atom, true exactly
+    where the task's postcondition holds: a trace the printed goal
+    formula can be read on."""
+    posts = {spec.action_atom: ltlf.compile_prop(spec.poc)
+             for spec in ms.tasks_of(expr)}
+    return [{**state, **{atom: post(state) for atom, post in posts.items()}}
+            for state in states]
 
 
 def counterexample_mission(atoms):

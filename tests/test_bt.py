@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -11,8 +12,9 @@ from ppabt.bt import (
     Selector, Sequence, TaskBoundary, assign_ids, bt_to_json, export_dot,
     iter_nodes, node_count, run_to_completion,
 )
-from ppabt.compiler import bind_scripted, compile_mission, compile_task
-from ppabt.mission import MissionConfig, parse_mission, ppa_task
+from ppabt.compiler import bind_scripted, compile_mission, compile_task, inline_actions
+from ppabt.mission import MissionConfig, Task, expand_mission, parse_mission, ppa_task
+from ppabt.verify import audit_trace
 
 A = ltlf.Atom
 
@@ -272,13 +274,30 @@ class TestRunToCompletion:
         assert status is FAILURE
         assert len(trace) == 1
 
-    def test_action_propositions_recorded_on_trace(self):
-        tree = scripted_task_tree()
-        env = StaticEnv(GRID, [{}, {"Cheese": True}])
+    def test_read_only_env_states_run_and_audit(self):
+        # the runner records each env state as given: read-only views
+        # tick, land on the trace uncopied, and the audit reads them with
+        # the action proposition inlined as the task's postcondition
+        given = []
+
+        class ReadOnlyEnv(StaticEnv):
+            def propositions(self):
+                given.append(MappingProxyType(super().propositions()))
+                return given[-1]
+
+        env = ReadOnlyEnv(GRID, [{}, {"Cheese": True}])
+        spec = ppa_task("t", post="Cheese", gc="!Fire", action="t", alphabet=GRID)
+        expr = Task(spec)
+        tree = bind_scripted(compile_mission(expr, CFG), expr, CFG)
         status, trace, _ = run_to_completion(tree, env, max_trace=10)
         assert status is SUCCESS
-        assert trace[0]["__action_t"] is False
-        assert trace[1]["__action_t"] is True
+        assert len(trace) == 2
+        assert all(state is view for state, view in zip(trace, given))
+        assert all(state.keys() == GRID for state in trace)
+        goal = inline_actions(expand_mission(expr), tree)
+        assert "__action_t" not in ltlf.atoms_of(goal)
+        assert audit_trace(goal, ltlf.Trace(trace, frozenset(GRID)), status)
+        assert ltlf.evaluate(goal, ltlf.Trace(trace[:1], frozenset(GRID))) is False
 
     def test_execution_halts_at_first_terminal_status(self):
         tree = scripted_task_tree()

@@ -177,6 +177,15 @@ class TestMalformedInput:
                   if line.startswith("error:")]
         assert len(errors) == 1 and "must not be negative" in errors[0]
 
+    @pytest.mark.parametrize("command", ["parse", "compile", "keydoor"])
+    def test_seed_only_where_it_is_read(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--seed", "3"])
+        assert err.value.code == EXIT_USAGE
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == ["error: unrecognized arguments: --seed 3"]
+
     def test_parse_mission_directory(self, tmp_path, capsys):
         assert main(["parse", "--mission", str(tmp_path)]) == EXIT_USAGE
         assert_single_error_line(capsys, "directory")

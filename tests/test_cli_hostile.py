@@ -1,13 +1,15 @@
 """Seeded hostile input for the CLI.
 
-A small grammar builds argv and input files for ``parse``, ``compile``,
-``verify``, ``infer`` and ``sweep``: JSON of the wrong type, empty files,
-non-UTF-8 bytes, a directory where a file belongs, missions nested at
-``MAX_NESTING`` ± 1, zero and negative counts, out-of-range
-probabilities and atoms outside the alphabet.  Each case runs
-``cli.main`` in-process.  No exception may escape, the exit code must be
-0, 1 or 2, and exit 1 must come with exactly one ``error:`` line.  A
-generated sweep crosses one cell at most, of at most three trials.
+A small grammar builds argv and input files for every subcommand: JSON
+of the wrong type, empty files, non-UTF-8 bytes, a directory where a
+file belongs, missions nested at ``MAX_NESTING`` ± 1, zero and negative
+counts, out-of-range and non-finite numbers, NaN and Infinity policy
+rows, and atoms outside the alphabet.  Each case runs ``cli.main``
+in-process.  No exception may escape, the exit code must be 0, 1 or 2,
+and exit 1 must come with exactly one ``error:`` line.  A generated
+sweep crosses one cell at most, of at most three trials, and a
+generated ``learn`` does one run per ``p_in`` of at most two episodes
+and two inference trials.
 """
 
 import contextlib
@@ -25,7 +27,8 @@ N_CASES = 500
 JUNK = [None, True, False, 0, -1, 3, 0.5, -2.5, "x", "3", "", [], [1], ["a"],
         [True], [None], {}, {"a": 1}, [[0.5]]]
 COUNTS = ["-1", "0", "1", "2"]
-PROBABILITIES = ["-0.5", "0", "0.95", "1", "1.5"]
+PROBABILITIES = ["-0.5", "0", "0.95", "1", "1.5", "nan", "inf"]
+NAN, INF = float("nan"), float("inf")
 DEPTHS = [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1]
 
 
@@ -51,7 +54,8 @@ def mission_text(rng) -> str:
 
 
 def policy_data(rng):
-    row = rng.choice([[0.25] * 4, [1, 0, 0, 0], [-1, 2, 0, 0], [0.5], "x", 5, [], None])
+    row = rng.choice([[0.25] * 4, [1, 0, 0, 0], [-1, 2, 0, 0], [0.5], "x", 5, [], None,
+                      [NAN] * 4, [INF, 0, 0, 0], [INF, -INF, 1, 0], [0.5, 0.5, NAN, 0]])
     return rng.choice([
         rng.choice(JUNK),
         {"tables": rng.choice(JUNK)},
@@ -91,7 +95,8 @@ def write_input(rng, path, content) -> str:
 
 
 def build_case(rng, tmp_path, i: int) -> list[str]:
-    command = rng.choice(["parse", "compile", "verify", "infer", "sweep"])
+    command = rng.choice(["parse", "compile", "verify", "infer", "sweep", "learn",
+                          "keydoor"])
     argv = [command]
     if command in ("parse", "compile", "verify") and rng.random() < 0.8:
         argv += ["--mission", write_input(rng, tmp_path / f"m{i}.mission",
@@ -115,6 +120,22 @@ def build_case(rng, tmp_path, i: int) -> list[str]:
         argv += ["--config", write_input(rng, tmp_path / f"s{i}.json", data)]
         if "n_trials" not in data or rng.random() < 0.5:
             argv += ["--trials", rng.choice(["-1", "0", "1"])]
+    elif command == "learn":
+        argv += ["--p-in", rng.choice([*PROBABILITIES, "0.6,0.95", "0.95,", "x"]),
+                 "--runs", rng.choice(COUNTS[:3]), "--episodes", rng.choice(COUNTS),
+                 "--trials", rng.choice(COUNTS)]
+        if rng.random() < 0.5:
+            argv += ["--max-trace", rng.choice(["-1", "0", "1", "50"])]
+        if rng.random() < 0.5:
+            argv += ["--discount", rng.choice(["-1", "0", "0.9", "1", "1.5", "nan"])]
+        if rng.random() < 0.5:
+            argv += ["--start", *rng.choice([["4", "1"], ["0", "0"], ["9", "9"],
+                                             ["4", "2"], ["x", "1"], ["4"]])]
+    elif command == "keydoor":
+        argv += ["--mode", rng.choice(["both", "baseline", "bt", "x"]),
+                 "--theta", rng.choice(COUNTS)]
+        if rng.random() < 0.5:
+            argv.append("--irreversible")
     if rng.random() < 0.5:
         argv += ["--out", str(tmp_path / f"out{i}")]
     if rng.random() < 0.05:

@@ -10,11 +10,13 @@ from ppabt.bt import (
     PreconditionLatch, SUCCESS, Selector, Sequence, TaskBoundary, bt_to_json,
     export_dot, iter_nodes, node_count,
 )
-from ppabt.compiler import bind_scripted, compile_mission, compile_task
+from ppabt.compiler import bind_scripted, compile_mission, compile_task, inline_actions
 from ppabt.gridworld import GridConfig
 from ppabt.keydoor import _bt_mission
 from ppabt.missions import KEYDOOR_ATOMS, build_c2h, build_keydoor
-from ppabt.mission import MissionConfig, MissionError, parse_mission, ppa_task, tasks_of
+from ppabt.mission import (
+    MissionConfig, MissionError, expand_mission, parse_mission, ppa_task, tasks_of,
+)
 from ppabt.planners import C2hRuntime, Policy
 
 GRID = {"Cheese", "Fire", "Home"}
@@ -193,3 +195,27 @@ class TestActionNodes:
                 runner.state, runner.t = state, t_task_max
                 holds = ltlf.evaluate(spec.poc, ltlf.Trace([state], frozenset(atoms)), 0)
                 assert (node.tick(runner) is SUCCESS) == holds, (node.binding, state)
+
+
+class TestInlineActions:
+    def test_action_atoms_become_postconditions(self):
+        expr = parse_mission(
+            "U (F task(c, post=Cheese, gc=!Fire)) (F task(h, post=Home & Cheese))", GRID)
+        inlined = inline_actions(expand_mission(expr), compile_mission(expr, CFG))
+        assert ltlf.format_formula(inlined) == (
+            "U (F (| (& (G (! Fire)) Cheese) (& (& (G (! Fire)) (F True)) "
+            "(U True (& Cheese (G (! Fire))))))) "
+            "(F (| (& (G True) (& Home Cheese)) (& (& (G True) (F True)) "
+            "(U True (& (& Home Cheese) (G True))))))")
+
+    def test_unchanged_subformulas_stay_shared(self):
+        # evaluate memoizes by object: both G gc of a task stay one object
+        expr = parse_mission("task(t, post=Cheese, gc=!Fire)", GRID)
+        raw = expand_mission(expr)
+        inlined = inline_actions(raw, compile_mission(expr, CFG))
+        holds, runs = inlined.left, inlined.right
+        assert holds is raw.left
+        g_gc = holds.left
+        assert runs.left is raw.right.left and runs.left.left is g_gc
+        assert runs.right.right.right is g_gc
+        assert runs.right.right.left is tasks_of(expr)[0].poc

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from helpers import derive_mission_text, formula_from_json
+from helpers import derive_mission_text, formula_from_json, mission_alphabet
 
 from ppabt import bt, ltlf
-from ppabt.compiler import bind_scripted, compile_mission
+from ppabt.compiler import bind_scripted, compile_mission, inline_actions
 from ppabt.ltlf import (
     MAX_NESTING, Atom, ParseError, UnknownAtom, format_formula, formula_to_json,
     parse_ltlf,
@@ -13,7 +13,7 @@ from ppabt.ltlf import (
 from ppabt.mission import (
     And, DuplicateTaskName, Finally, MissionConfig, Or, PpaTaskSpec,
     ReservedAtom, Task, TemporalOperatorInCondition, Until, expand_mission,
-    expand_task, mission_alphabet, parse_mission, parse_prop, ppa_task,
+    expand_task, parse_mission, parse_prop, ppa_task,
     render_mission, render_prop, tasks_of,
 )
 
@@ -260,5 +260,8 @@ class TestNesting:
         cfg = MissionConfig(t_task_max=5, theta=1, alphabet=frozenset(alphabet))
         tree = bind_scripted(compile_mission(expr, cfg), expr, cfg)
         assert bt.MissionRunner(tree).tick_once({"a": True}) in bt.Status
+        inlined = inline_actions(formula, tree)
+        trace = ltlf.Trace([{"a": True}], frozenset(alphabet))
+        assert ltlf.evaluate(inlined, trace) in (True, False)
         with pytest.raises(ParseError):
             parse_mission(nested_mission(MAX_NESTING + 1, shape), alphabet)

@@ -1,4 +1,5 @@
 import random
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from vi_oracle import value_iteration
 
 from ppabt import gridworld as gw
+from ppabt.bt import SUCCESS
+from ppabt.cli import EXIT_USAGE, main
 from ppabt.mission import parse_mission
 from ppabt.missions import build_c2h
 from ppabt.planners import (
@@ -236,3 +239,33 @@ class TestEvaluatePolicy:
         back = Policy.from_json(policy.to_json())
         assert back.tables == policy.tables
         assert back.kind == "deterministic"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rows_rejected(self, value):
+        with pytest.raises(ValueError, match="invalid row"):
+            Policy.from_json({"tables": {"C": {"3,1": [value] * 4}, "H": {}}})
+        with pytest.raises(ValueError, match="invalid row"):
+            Policy.from_json({"tables": {"C": {}, "H": {"1,1": [value, 0, 0, 0]}}})
+
+    def test_infer_rejects_nan_policy(self, tmp_path, capsys):
+        path = tmp_path / "policy.json"
+        path.write_text('{"tables": {"C": {"3,1": [NaN, NaN, NaN, NaN]}, "H": {}}}')
+        assert main(["infer", "--policy", str(path), "--trials", "2"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invalid row [nan, nan, nan, nan] at (C, 3,1)\n"
+
+    def test_read_only_grid_states_audit(self, monkeypatch):
+        # the runner keeps each state the env hands it: read-only views
+        # run whole episodes, and every successful one passes its audit
+        monkeypatch.setattr(gw.GridEnv, "propositions", lambda env: MappingProxyType(
+            gw.propositions(env.state, env.cfg)))
+        cfg = gw.GridConfig(p_in=0.9)
+        runtime = C2hRuntime(build_c2h(cfg), cfg, plan_grid_policies(cfg), 50)
+        outcomes = set()
+        for seed in range(20):
+            status, trace_states, _ = runtime.run_episode(seed)
+            assert all(type(state) is MappingProxyType for state in trace_states)
+            assert runtime.audit(status, trace_states)
+            outcomes.add(status)
+        assert SUCCESS in outcomes

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from helpers import counterexample_mission, enumerate_language, trace_of
+from helpers import (
+    counterexample_mission, enumerate_language, mission_alphabet, trace_of,
+    with_action_props,
+)
 from ppabt import bt, ltlf, mission as ms
-from ppabt.compiler import bind_scripted, compile_mission
+from ppabt.compiler import bind_scripted, compile_mission, inline_actions
 from ppabt.ltlf import Atom, Trace
 from ppabt.mission import MissionConfig, expand_mission, ppa_task
 from ppabt.missions import C2H_TEXT
@@ -206,9 +209,11 @@ class TestSoundFragment:
         report = check_mission(expr, ABC, bound=4, theta=0)
         assert report.n_violations >= 1
         formula = expand_mission(expr)
+        alpha = mission_alphabet(expr, ABC)
         for states in report.counterexamples:
-            alpha = frozenset(states[0])
-            assert evaluate_reference(formula, Trace(states, alpha), 0) is False
+            assert all(state.keys() == ABC for state in states)
+            trace = Trace(with_action_props(expr, states), alpha)
+            assert evaluate_reference(formula, trace, 0) is False
 
     def test_f_wrapping_both_operands_is_sound(self):
         expr = counterexample_mission(["a", "b", "c"])
@@ -216,3 +221,24 @@ class TestSoundFragment:
         for theta in (0, 1):
             report = check_mission(wrapped, ABC, bound=4, theta=theta)
             assert report.n_violations == 0
+
+
+class TestInlinedActions:
+    def test_inlined_formula_matches_printed_formula_with_action_props(self):
+        # oracle: the inlined goal on the plain trace reads as the printed
+        # goal on the trace with every __action_<m> added from its task
+        rng = random.Random(61)
+        missions = [random_sound_mission(rng, ["a", "b", "c"]) for _ in range(40)]
+        missions.append(counterexample_mission(["a", "b", "c"]))
+        cfg = MissionConfig(t_task_max=5, theta=1, alphabet=frozenset(ABC))
+        for expr in missions:
+            formula = expand_mission(expr)
+            inlined = inline_actions(formula, compile_mission(expr, cfg))
+            assert not any(a.startswith(ms.ACTION_PREFIX) for a in ltlf.atoms_of(inlined))
+            alpha = mission_alphabet(expr, ABC)
+            for _ in range(25):
+                plain = random_trace(rng, sorted(ABC), 6)
+                full = Trace(with_action_props(expr, plain.states), alpha)
+                for i in range(len(plain)):
+                    assert ltlf.evaluate(inlined, plain, i) == \
+                        evaluate_reference(formula, full, i), (expr, i)
