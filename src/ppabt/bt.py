@@ -6,15 +6,16 @@ Conditions never return Running.  The ``MissionRunner`` is the tick
 context: every node ticks against it and reads the current state, the
 tick counter and the random source from it.  It also owns the only
 node memory, the set of latched decorators and the Finally reset
-counts, so a whole execution can be snapshotted and restored, and one
-tree can serve any number of runs.  States are recorded as the
-environment gave them; formulas are read through ``ltlf`` alone.
+counts, keyed by node: nodes hold structure only and carry no ids.  So
+a whole execution can be snapshotted and restored, and one tree can
+serve any number of runs.  States are recorded as the environment gave
+them; formulas are read through ``ltlf`` alone.
 
 Every node lists its ``children`` (none on leaves) and describes itself
 to the writers: ``kind`` names it in JSON, ``symbol`` and ``shape`` draw
 it in DOT, and ``params`` maps each attribute the writers show to its
-DOT label format.  ``iter_nodes``, ``export_dot`` and ``bt_to_json`` are
-one loop each.
+DOT label format.  The writers walk ``iter_nodes`` and number each node
+by its preorder index.
 """
 
 from __future__ import annotations
@@ -49,16 +50,13 @@ class ConcurrentActionConflict(BtError):
 # Nodes
 
 class BtNode:
-    """Tree node; ``id`` keys its memory and is 0 until ``assign_ids``."""
+    """Structure only; runners key their memory by node (identity hash)."""
 
     kind = "node"
     symbol = ""
     shape = "box"
     params: dict[str, str] = {}
     children = ()
-
-    def __init__(self):
-        self.id = 0
 
     def tick(self, ctx: MissionRunner) -> Status:
         raise NotImplementedError
@@ -68,7 +66,6 @@ class ControlNode(BtNode):
     """Sequence, selector or parallel over a non-empty list of children."""
 
     def __init__(self, children: list[BtNode]):
-        super().__init__()
         assert children, "control node needs at least one child"
         self.children = list(children)
 
@@ -79,7 +76,6 @@ class DecoratorNode(BtNode):
     shape = "diamond"
 
     def __init__(self, child: BtNode):
-        super().__init__()
         self.child = child
         self.children = [child]
 
@@ -130,7 +126,6 @@ class Condition(BtNode):
     params = {"prop": "{}"}
 
     def __init__(self, prop: Formula):
-        super().__init__()
         self.prop = prop
         self._fn = compile_prop(prop)
 
@@ -154,7 +149,6 @@ class ActionRunner(BtNode):
 
     def __init__(self, binding: str, postcondition: Formula, t_task_max: int,
                  choose: Chooser | None = None):
-        super().__init__()
         self.binding = binding
         self.postcondition = postcondition
         self.t_task_max = t_task_max
@@ -193,16 +187,16 @@ class FinallyReset(DecoratorNode):
         self.theta = theta
 
     def tick(self, ctx):
-        if self.id in ctx.latched:
+        if self in ctx.latched:
             return SUCCESS
         status = self.child.tick(ctx)
         if status is SUCCESS:
-            ctx.latched.add(self.id)
+            ctx.latched.add(self)
         elif status is FAILURE:
-            used = ctx.resets.get(self.id, 0)
+            used = ctx.resets.get(self, 0)
             if used < self.theta:
-                ctx.resets[self.id] = used + 1
-                ctx.latched.difference_update(n.id for n in iter_nodes(self.child))
+                ctx.resets[self] = used + 1
+                ctx.latched.difference_update(iter_nodes(self.child))
                 return RUNNING
         return status
 
@@ -256,23 +250,19 @@ def iter_nodes(tree: BtNode) -> Iterator[BtNode]:
         stack.extend(reversed(node.children))
 
 
-def assign_ids(tree: BtNode) -> BtNode:
-    """Relabel the tree with deterministic preorder node ids."""
-    for i, node in enumerate(iter_nodes(tree)):
-        node.id = i
-    return tree
-
-
 # ---------------------------------------------------------------------------
 # Execution
+
+Snapshot = tuple[frozenset[FinallyReset], dict[FinallyReset, int], int, int]
+
 
 class MissionRunner:
     """One execution, and the context every node ticks against.
 
     Holds the current ``state``, the tick counter ``t``, ``rng``, the
     ``pending`` environment action, the trace and the node memory:
-    ``latched``, the ids of the decorators stuck at Success, and
-    ``resets``, Finally id -> resets used.  A reset clears latches, not
+    ``latched``, the Finally nodes (latches too) stuck at Success, and
+    ``resets``, Finally node -> resets used.  A reset clears latches, not
     reset counts, so an ancestor's reset does not re-arm a budget.  Each
     state is kept as given, uncopied, so the trace holds exactly the
     environment's atoms; nothing may mutate a state once it is ticked.
@@ -281,8 +271,8 @@ class MissionRunner:
     def __init__(self, tree: BtNode, rng: Random | None = None):
         self.tree = tree
         self.rng = rng if rng is not None else Random(0)
-        self.latched: set[int] = set()
-        self.resets: dict[int, int] = {}
+        self.latched: set[FinallyReset] = set()
+        self.resets: dict[FinallyReset, int] = {}
         self.state: StateVector = {}
         self.t = 0
         self.trace_states: list[StateVector] = []
@@ -300,12 +290,12 @@ class MissionRunner:
         """Resets issued so far by all Finally decorators."""
         return sum(self.resets.values())
 
-    def snapshot(self) -> tuple[frozenset[int], dict[int, int], int, int]:
+    def snapshot(self) -> Snapshot:
         """Latches, reset counts, tick counter and trace length."""
         return (frozenset(self.latched), dict(self.resets), self.t,
                 len(self.trace_states))
 
-    def restore(self, snap: tuple[frozenset[int], dict[int, int], int, int]) -> None:
+    def restore(self, snap: Snapshot) -> None:
         latched, resets, self.t, n_states = snap
         self.latched, self.resets = set(latched), dict(resets)
         del self.trace_states[n_states:]
@@ -343,25 +333,31 @@ def node_count(tree: BtNode) -> int:
 
 
 def export_dot(tree: BtNode) -> str:
-    """Graphviz text, one node per tree node with the usual BT symbols."""
+    """Graphviz text, one node per tree node with the usual BT symbols;
+    node ``n<i>`` is the ``i``-th node in preorder."""
+    ids = {node: i for i, node in enumerate(iter_nodes(tree))}
     lines = ["digraph bt {", "  node [shape=box];"]
-    for node in iter_nodes(tree):
+    for node, i in ids.items():
         label = " ".join([node.symbol, *(fmt.format(getattr(node, name))
                                          for name, fmt in node.params.items())])
         escaped = label.replace('"', '\\"')
-        lines.append(f'  n{node.id} [label="{escaped}", shape={node.shape}];')
-    for node in iter_nodes(tree):
+        lines.append(f'  n{i} [label="{escaped}", shape={node.shape}];')
+    for node, i in ids.items():
         for child in node.children:
-            lines.append(f"  n{node.id} -> n{child.id};")
+            lines.append(f"  n{i} -> n{ids[child]};")
     lines.append("}")
     return "\n".join(lines)
 
 
 def bt_to_json(tree: BtNode) -> dict:
-    data: dict = {"kind": tree.kind, "id": tree.id}
-    for name in tree.params:
-        value = getattr(tree, name)
-        data[name] = formula_to_json(value) if isinstance(value, Formula) else value
-    if tree.children:
-        data["children"] = [bt_to_json(c) for c in tree.children]
-    return data
+    """Nested dicts, one per node; ``id`` is the node's preorder index."""
+    data: dict[BtNode, dict] = {}
+    for i, node in enumerate(iter_nodes(tree)):
+        data[node] = entry = {"kind": node.kind, "id": i}
+        for name in node.params:
+            value = getattr(node, name)
+            entry[name] = formula_to_json(value) if isinstance(value, Formula) else value
+    for node, entry in data.items():
+        if node.children:
+            entry["children"] = [data[c] for c in node.children]
+    return data[tree]

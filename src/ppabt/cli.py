@@ -131,9 +131,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    expr, alphabet = _load_mission(args)
-    cfg = MissionConfig(t_task_max=args.max_trace, theta=args.theta,
-                        alphabet=frozenset(alphabet))
+    expr, _ = _load_mission(args)
+    cfg = MissionConfig(t_task_max=args.max_trace, theta=args.theta)
     tree = compile_mission(expr, cfg)
     if args.dot:
         Path(args.dot).write_text(export_dot(tree) + "\n")

@@ -20,7 +20,8 @@ scripted.  Tasks that share an action must share its postcondition:
 Mission operators map onto control nodes: or to selector, and to
 parallel, until to sequence (left subtree must succeed before the right
 is ticked), finally to a resetting decorator; the root tracks the
-mission time budget.
+mission time budget.  Trees carry no ids and tick as built: each run
+keeps its node memory in its ``MissionRunner``, keyed by node.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from __future__ import annotations
 from . import ltlf, mission as ms
 from .bt import (
     ActionRunner, BtNode, Chooser, Condition, FinallyReset, MissionRoot,
-    Parallel, PreconditionLatch, Selector, Sequence, TaskBoundary, assign_ids,
-    iter_nodes,
+    Parallel, PreconditionLatch, Selector, Sequence, TaskBoundary, iter_nodes,
 )
 
 
@@ -37,14 +37,13 @@ def compile_task(spec: ms.PpaTaskSpec, cfg: ms.MissionConfig,
                  choose: Chooser | None = None) -> BtNode:
     gc = lambda: Condition(spec.gc)
     action = ActionRunner(spec.action, spec.poc, cfg.t_task_max, choose)
-    tree = Selector([
+    return Selector([
         Parallel([gc(), Condition(spec.poc)]),
         Parallel([
             Parallel([gc(), PreconditionLatch(Condition(spec.prc))]),
             Sequence([Condition(spec.tc), Sequence([action, gc()])]),
         ]),
     ])
-    return assign_ids(tree)
 
 
 _CONTROL = {ms.Or: Selector, ms.And: Parallel, ms.Until: Sequence}
@@ -71,7 +70,7 @@ def compile_mission(expr: ms.MissionExpr, cfg: ms.MissionConfig,
             raise TypeError(f"not a mission expression: {e!r}")
         return control([build(e.left), build(e.right)])
 
-    return assign_ids(MissionRoot(build(expr), cfg.t_task_max))
+    return MissionRoot(build(expr), cfg.t_task_max)
 
 
 def bind_scripted(tree: BtNode, expr: ms.MissionExpr, cfg: ms.MissionConfig) -> BtNode:

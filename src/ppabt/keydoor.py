@@ -141,7 +141,7 @@ def _bt_mission(theta: int, t_task_max: int):
     """The key-door tree and its goal formula, action propositions inlined,
     shared by every trial: node memory lives in each run's MissionRunner."""
     expr = build_keydoor()
-    cfg = MissionConfig(t_task_max=t_task_max, theta=theta, alphabet=KEYDOOR_ATOMS)
+    cfg = MissionConfig(t_task_max=t_task_max, theta=theta)
     tree = compile_mission(expr, cfg, choose={
         task.action: lambda state, rng, stage=task.action: stage
         for task in tasks_of(expr)})

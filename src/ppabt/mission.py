@@ -102,16 +102,18 @@ class Task(Formula):
 
 @dataclass
 class MissionConfig:
+    """The compiler's time and retry budgets.  ``alphabet`` is accepted
+    and unused: atoms are checked when the mission is parsed."""
+
     t_task_max: int
     theta: int
-    alphabet: frozenset[str]
+    alphabet: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if self.t_task_max < 1:
             raise ValueError("t_task_max must be at least 1")
         if self.theta < 0:
             raise ValueError("theta must be nonnegative")
-        self.alphabet = frozenset(self.alphabet)
 
 
 def tasks_of(expr: MissionExpr) -> list[PpaTaskSpec]:

@@ -175,6 +175,8 @@ class EpisodeRecord:
             raise ValueError("b must be +1 or -1")
         if self.phases is not None and len(self.phases) != len(self.pairs):
             raise ValueError("one phase per recorded pair")
+        if self.phases is not None and not set(self.phases) <= set(PHASES):
+            raise ValueError(f"phases must be among {', '.join(PHASES)}")
 
     def segments(self) -> list[tuple[str, list[tuple[str, int]], int]]:
         phases = self.phases or ["C"] * len(self.pairs)
@@ -195,8 +197,6 @@ def feedback_update(policy: Policy, record: EpisodeRecord, mu: float = 0.9,
     renormalized.  Returns the same policy object.
     """
     for phase, pairs, b in record.segments():
-        if not pairs:
-            continue
         m = len(pairs) - 1
         touched = set()
         for t, (key, action) in enumerate(pairs):
@@ -256,7 +256,7 @@ class C2hRuntime:
         self.policy = policy
         self.max_trace = max_trace
         self.alphabet = gw.grid_alphabet(grid_cfg)
-        mcfg = MissionConfig(t_task_max=max_trace, theta=0, alphabet=self.alphabet)
+        mcfg = MissionConfig(t_task_max=max_trace, theta=0)
         self.env: gw.GridEnv | None = None
         self.pairs: list[tuple[str, int, str]] = []
         self.tree = compile_mission(expr, mcfg, choose={

@@ -168,9 +168,7 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
 def check_mission(expr: ms.MissionExpr, alphabet, bound: int,
                   theta: int = 1) -> InclusionReport:
     """Compile with scripted actions, and exhaustively check one mission."""
-    cfg = ms.MissionConfig(t_task_max=bound, theta=theta,
-                           alphabet=frozenset(alphabet))
-    tree = compile_mission(expr, cfg)
+    tree = compile_mission(expr, ms.MissionConfig(t_task_max=bound, theta=theta))
     formula = ms.expand_mission(expr)
     return check_inclusion(tree, formula, alphabet, bound)
 

@@ -9,7 +9,7 @@ from ppabt import ltlf
 from ppabt.bt import (
     ActionRunner, Condition, ConcurrentActionConflict, FAILURE, FinallyReset,
     MissionRoot, MissionRunner, Parallel, PreconditionLatch, RUNNING, SUCCESS,
-    Selector, Sequence, TaskBoundary, assign_ids, bt_to_json, export_dot,
+    Selector, Sequence, TaskBoundary, bt_to_json, export_dot,
     iter_nodes, node_count, run_to_completion,
 )
 from ppabt.compiler import bind_scripted, compile_mission, compile_task, inline_actions
@@ -50,7 +50,7 @@ class TestControlNodes:
 
     def test_sequence_never_ticks_action_after_failing_condition(self):
         act = ActionRunner("x", A("done"), 10, choose=lambda s, r: "go")
-        tree = assign_ids(Sequence([Condition(A("a")), act]))
+        tree = Sequence([Condition(A("a")), act])
         status, ctx = tick_tree(tree, {"a": False, "done": False})
         assert status is FAILURE
         assert ctx.pending is None  # the action would have requested "go"
@@ -107,83 +107,91 @@ class TestControlNodes:
 class TestDecorators:
     def test_precondition_latch_remembers_success(self):
         latch = PreconditionLatch(Condition(A("p")))
-        assign_ids(latch)
         runner = MissionRunner(latch)
         assert tick_tree(latch, {"p": False}, runner)[0] is FAILURE
         assert tick_tree(latch, {"p": True}, runner)[0] is SUCCESS
         assert tick_tree(latch, {"p": False}, runner)[0] is SUCCESS  # latched
-        assert runner.latched == {latch.id} and runner.resets == {}
+        assert runner.latched == {latch} and runner.resets == {}
+
+    def test_latches_of_an_unlabelled_tree_keep_apart(self):
+        # a tree built straight from the node classes ticks correctly:
+        # b's latch must not read a's
+        a = PreconditionLatch(Condition(A("a")))
+        b = PreconditionLatch(Condition(A("b")))
+        status, runner = tick_tree(Parallel([a, b]), {"a": True, "b": False})
+        assert status is FAILURE
+        assert runner.latched == {a}
 
     def test_latch_cleared_by_reset(self):
         # the latch succeeds, its sibling fails, and the Finally parent resets
         latch = PreconditionLatch(Condition(A("p")))
-        parent = assign_ids(FinallyReset(Sequence([latch, Condition(A("q"))]), theta=1))
+        parent = FinallyReset(Sequence([latch, Condition(A("q"))]), theta=1)
         runner = MissionRunner(parent)
         assert tick_tree(parent, {"p": True, "q": False}, runner)[0] is RUNNING
-        assert runner.latched == set() and runner.resets == {parent.id: 1}
+        assert runner.latched == set() and runner.resets == {parent: 1}
         assert tick_tree(latch, {"p": False}, runner)[0] is FAILURE
 
     def test_finally_reset_latches_success_without_reticking(self):
         child = StubNode([SUCCESS])
-        node = assign_ids(FinallyReset(child, theta=1))
+        node = FinallyReset(child, theta=1)
         runner = MissionRunner(node)
         assert tick_tree(node, {}, runner)[0] is SUCCESS
         assert tick_tree(node, {}, runner)[0] is SUCCESS
         assert child.ticks == 1
 
     def test_finally_reset_zero_budget_fails_immediately(self):
-        node = assign_ids(FinallyReset(StubNode([FAILURE]), theta=0))
+        node = FinallyReset(StubNode([FAILURE]), theta=0)
         assert tick_tree(node, {})[0] is FAILURE
 
     def test_finally_reset_retry_budget(self):
         child = StubNode([FAILURE, FAILURE, FAILURE])
-        node = assign_ids(FinallyReset(child, theta=2))
+        node = FinallyReset(child, theta=2)
         runner = MissionRunner(node)
         assert tick_tree(node, {}, runner)[0] is RUNNING   # reset 1
         assert tick_tree(node, {}, runner)[0] is RUNNING   # reset 2
         assert tick_tree(node, {}, runner)[0] is FAILURE   # budget spent
-        assert runner.resets == {node.id: 2}
+        assert runner.resets == {node: 2}
         assert runner.total_resets() == 2
 
     def test_reset_counter_survives_ancestor_reset(self):
         inner = FinallyReset(StubNode([FAILURE]), theta=1)
-        outer = assign_ids(FinallyReset(inner, theta=5))
+        outer = FinallyReset(inner, theta=5)
         runner = MissionRunner(outer)
         # inner consumes its only reset, then fails; outer resets it
         for _ in range(3):
             tick_tree(outer, {}, runner)
-        assert runner.resets == {inner.id: 1, outer.id: 2}  # inner not re-armed
+        assert runner.resets == {inner: 1, outer: 2}  # inner not re-armed
 
     def test_ancestor_reset_clears_descendant_memory(self):
         # inner Finally: one reset on tick 0, running on tick 1, success
         # on tick 2, where the failing stub makes the outer Finally reset
         act = ActionRunner("x", A("done"), 10, choose=lambda s, r: "go")
         inner = FinallyReset(Sequence([Condition(A("ok")), act]), theta=2)
-        outer = assign_ids(FinallyReset(Sequence([inner, StubNode([FAILURE])]), theta=1))
+        outer = FinallyReset(Sequence([inner, StubNode([FAILURE])]), theta=1)
         runner = MissionRunner(outer)
         assert runner.tick_once({"ok": False, "done": False}) is RUNNING
         assert runner.tick_once({"ok": True, "done": False}) is RUNNING
-        assert runner.resets == {inner.id: 1}
+        assert runner.resets == {inner: 1}
         snap = runner.snapshot()
         assert runner.tick_once({"ok": True, "done": True}) is RUNNING
-        assert inner.id not in runner.latched            # success cleared, counter kept
-        assert runner.resets == {inner.id: 1, outer.id: 1}
-        assert outer.id not in runner.latched
+        assert inner not in runner.latched   # success cleared, counter kept
+        assert runner.resets == {inner: 1, outer: 1}
+        assert outer not in runner.latched
         assert runner.total_resets() == 2
-        runner.restore(snap)                             # the counters come back too
-        assert runner.resets == {inner.id: 1}
+        runner.restore(snap)                 # the counters come back too
+        assert runner.resets == {inner: 1}
         assert runner.latched == set()
         assert runner.total_resets() == 1
 
     def test_mission_root_time_budget(self):
-        node = assign_ids(MissionRoot(StubNode([RUNNING]), t_task_max=2))
+        node = MissionRoot(StubNode([RUNNING]), t_task_max=2)
         runner = MissionRunner(node)
         assert tick_tree(node, {}, runner, t=0)[0] is RUNNING
         assert tick_tree(node, {}, runner, t=1)[0] is RUNNING
         assert tick_tree(node, {}, runner, t=2)[0] is FAILURE
 
     def test_mission_root_allows_success_at_boundary(self):
-        node = assign_ids(MissionRoot(StubNode([SUCCESS]), t_task_max=2))
+        node = MissionRoot(StubNode([SUCCESS]), t_task_max=2)
         assert tick_tree(node, {}, t=2)[0] is SUCCESS
 
     def test_task_boundary_passthrough(self):
@@ -315,8 +323,13 @@ class TestRunToCompletion:
             env = StaticEnv(GRID, [{}, {"Fire": True}, {}, {"Cheese": True}])
             status, trace, runner = run_to_completion(tree, env, max_trace=10,
                                                       rng=random.Random(5))
-            runs.append((status, trace, env.applied, runner.latched, runner.resets))
+            # the two trees are built apart: compare memory by preorder index
+            index = {node: i for i, node in enumerate(iter_nodes(tree))}
+            runs.append((status, trace, env.applied,
+                         {index[node] for node in runner.latched},
+                         {index[node]: used for node, used in runner.resets.items()}))
         assert runs[0] == runs[1]
+        assert runs[0][3] and runs[0][4] == {1: 1}  # the task's Finally reset once
 
 
 class TestActionContract:
@@ -331,7 +344,7 @@ class TestActionContract:
             run_to_completion(tree, env, max_trace=5)
 
     def test_runner_success_requires_post_within_budget(self):
-        act = assign_ids(ActionRunner("x", A("p"), t_task_max=3))
+        act = ActionRunner("x", A("p"), t_task_max=3)
         assert tick_tree(act, {"p": True}, t=3)[0] is SUCCESS
         assert tick_tree(act, {"p": True}, t=4)[0] is FAILURE
         assert tick_tree(act, {"p": False}, t=2)[0] is RUNNING
@@ -340,7 +353,7 @@ class TestActionContract:
 
 class TestSerialization:
     def test_dot_single_condition(self):
-        dot = export_dot(assign_ids(Condition(A("a"))))
+        dot = export_dot(Condition(A("a")))
         assert dot.count("->") == 0
         assert "◯ a" in dot
 

@@ -4,21 +4,26 @@ A small grammar builds argv and input files for every subcommand: JSON
 of the wrong type, empty files, non-UTF-8 bytes, a directory where a
 file belongs, missions nested at ``MAX_NESTING`` ± 1, zero and negative
 counts, out-of-range and non-finite numbers, NaN and Infinity policy
-rows, and atoms outside the alphabet.  Each case runs ``cli.main``
-in-process.  No exception may escape, the exit code must be 0, 1 or 2,
-and exit 1 must come with exactly one ``error:`` line.  A generated
-sweep crosses one cell at most, of at most three trials, and a
-generated ``learn`` does one run per ``p_in`` of at most two episodes
-and two inference trials.
+rows, and atoms outside the alphabet.  Legal draws sit among them: a
+full valid policy for ``infer`` and a sweep config of known keys only,
+so that every subcommand reaches success as well as a typed error.
+Each case runs ``cli.main`` in-process.  No exception may escape, the
+exit code must be 0, 1 or 2, exit 1 must come with exactly one
+``error:`` line, and each subcommand must exit both 0 and 1 somewhere
+in the run.  A generated sweep crosses one cell at most, of at most
+three trials, and a generated ``learn`` does one run per ``p_in`` of at
+most two episodes and two inference trials.
 """
 
 import contextlib
 import io
 import json
 import random
+from collections import defaultdict
 
 from ppabt.cli import SWEEP_AXES, main
 from ppabt.ltlf import MAX_NESTING
+from ppabt.planners import PHASES
 
 SEED = 0
 N_CASES = 500
@@ -30,6 +35,7 @@ COUNTS = ["-1", "0", "1", "2"]
 PROBABILITIES = ["-0.5", "0", "0.95", "1", "1.5", "nan", "inf"]
 NAN, INF = float("nan"), float("inf")
 DEPTHS = [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1]
+COMMANDS = ["parse", "compile", "verify", "infer", "sweep", "learn", "keydoor"]
 
 
 def nested_mission(rng) -> str:
@@ -65,6 +71,26 @@ def policy_data(rng):
     ])
 
 
+def legal_policy_data(rng):
+    """A valid policy: a move distribution for every cell of the default
+    4x4 grid, in every phase."""
+    rows = [[0.25] * 4, [1, 0, 0, 0], [0.1, 0.2, 0.3, 0.4]]
+    return {"tables": {phase: {f"{j},{k}": rng.choice(rows)
+                               for j in range(1, 5) for k in range(1, 5)}
+                       for phase in PHASES}}
+
+
+def legal_sweep_data(rng):
+    """A config of one cell of legal values, with known keys only."""
+    data = {"r_other": [rng.choice([-0.04, -1.0])], "r_good": [rng.choice([1.0, 5.0])],
+            "r_fire": [rng.choice([-1.0, -10.0])], "p_in": [rng.choice([0.4, 0.8, 1.0])]}
+    if rng.random() < 0.5:
+        data["gamma"] = rng.choice([0.5, 0.9])
+    if rng.random() < 0.5:
+        data["n_trials"] = rng.choice([0, 1, 3])
+    return data
+
+
 def sweep_data(rng):
     """A config of at most one cell: every axis is a one-value list or junk."""
     data = {axis: rng.choice([[-0.04], [1.0], [-1.0], [0.9], [1.5], [-0.1]])
@@ -95,8 +121,8 @@ def write_input(rng, path, content) -> str:
 
 
 def build_case(rng, tmp_path, i: int) -> list[str]:
-    command = rng.choice(["parse", "compile", "verify", "infer", "sweep", "learn",
-                          "keydoor"])
+    command = rng.choice(COMMANDS)
+    legal = rng.random() < 0.3
     argv = [command]
     if command in ("parse", "compile", "verify") and rng.random() < 0.8:
         argv += ["--mission", write_input(rng, tmp_path / f"m{i}.mission",
@@ -111,15 +137,29 @@ def build_case(rng, tmp_path, i: int) -> list[str]:
         argv += ["--bound", rng.choice(COUNTS[:3]), "--theta", rng.choice(COUNTS)]
         if "--mission" not in argv:
             argv += ["--missions", rng.choice(COUNTS)]
+    elif command == "infer" and legal:
+        path = tmp_path / f"p{i}.json"
+        path.write_text(json.dumps(legal_policy_data(rng)))
+        argv += ["--policy", str(path), "--p-in", rng.choice(["0", "0.6", "0.95", "1"]),
+                 "--trials", rng.choice(["0", "1", "2"]),
+                 "--max-trace", rng.choice(["1", "50"])]
     elif command == "infer":
         argv += ["--policy", write_input(rng, tmp_path / f"p{i}.json", policy_data(rng)),
                  "--p-in", rng.choice(PROBABILITIES), "--trials", rng.choice(COUNTS[:3]),
                  "--max-trace", rng.choice(["-1", "0", "1", "50"])]
     elif command == "sweep":
-        data = sweep_data(rng)
-        argv += ["--config", write_input(rng, tmp_path / f"s{i}.json", data)]
+        if legal:
+            data = legal_sweep_data(rng)
+            path = tmp_path / f"s{i}.json"
+            path.write_text(json.dumps(data))
+            argv += ["--config", str(path)]
+            trials = ["0", "1", "3"]
+        else:
+            data = sweep_data(rng)
+            argv += ["--config", write_input(rng, tmp_path / f"s{i}.json", data)]
+            trials = ["-1", "0", "1"]
         if "n_trials" not in data or rng.random() < 0.5:
-            argv += ["--trials", rng.choice(["-1", "0", "1"])]
+            argv += ["--trials", rng.choice(trials)]
     elif command == "learn":
         argv += ["--p-in", rng.choice([*PROBABILITIES, "0.6,0.95", "0.95,", "x"]),
                  "--runs", rng.choice(COUNTS[:3]), "--episodes", rng.choice(COUNTS),
@@ -159,15 +199,17 @@ def run_case(argv) -> tuple[object, str]:
 def test_hostile_cli_input_exits_cleanly(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rng = random.Random(SEED)
-    faults, codes = [], set()
+    faults, codes = [], defaultdict(set)
     for i in range(N_CASES):
         argv = build_case(rng, tmp_path, i)
         code, err = run_case(argv)
-        codes.add(code if code in (0, 1, 2) else None)
+        codes[argv[0]].add(code)
         error_lines = [line for line in err.splitlines() if line.startswith("error:")]
         if code not in (0, 1, 2):
             faults.append((argv, repr(code)))
         elif code == 1 and len(error_lines) != 1:
             faults.append((argv, err))
     assert not faults, "\n".join(f"{argv}: {what}" for argv, what in faults)
-    assert codes >= {0, 1}  # the grammar reaches both outcomes
+    # the grammar reaches both outcomes of every subcommand
+    one_sided = [command for command in COMMANDS if not codes[command] >= {0, 1}]
+    assert not one_sided, dict(codes)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -129,11 +130,26 @@ class TestCompileMission:
             tree = compile_mission(expr, MissionConfig(10, 1, alphabet))
             assert node_count(tree) <= 14 * mission_size(expr) + 2
 
-    def test_preorder_ids(self):
-        expr = parse_mission("task(t, post=Cheese)", GRID)
-        tree = compile_mission(expr, CFG)
-        from ppabt.bt import iter_nodes
-        assert [n.id for n in iter_nodes(tree)] == list(range(node_count(tree)))
+    def test_writers_number_nodes_in_preorder(self):
+        # nodes carry no ids: JSON and DOT both number the i-th node of
+        # the preorder walk i, and DOT draws each edge between those numbers
+        tree = compile_mission(build_keydoor(), MissionConfig(t_task_max=60, theta=1))
+        nodes = list(iter_nodes(tree))
+        index = {node: i for i, node in enumerate(nodes)}
+
+        def preorder(data):
+            yield data
+            for child in data.get("children", []):
+                yield from preorder(child)
+
+        encoded = list(preorder(bt_to_json(tree)))
+        assert [d["id"] for d in encoded] == list(range(len(nodes)))
+        assert [d["kind"] for d in encoded] == [n.kind for n in nodes]
+        dot = export_dot(tree)
+        declared = re.findall(r'^  n(\d+) \[label="([^ "]*)', dot, re.M)
+        assert declared == [(str(i), n.symbol.split()[0]) for i, n in enumerate(nodes)]
+        edges = re.findall(r"^  n(\d+) -> n(\d+);$", dot, re.M)
+        assert edges == [(str(index[n]), str(index[c])) for n in nodes for c in n.children]
 
     def test_dot_of_until_mission(self):
         text = ("U (F task(cheese, post=Cheese, gc=!Fire)) "

@@ -1,9 +1,13 @@
-"""The lower layers of ppabt import downwards only.
+"""The lower layers of ppabt import downwards only, and tree nodes hold
+no run state.
 
 ``ppabt.ltlf`` is the formula layer and imports no other ppabt module.
 The tick engine ``ppabt.bt`` reads formulas through ``ltlf`` alone and
-knows nothing of the mission language.  The check reads the source with
-``ast``, so an import inside a function counts as well.
+knows nothing of the mission language.  No ``tick`` method in
+``ppabt.bt`` assigns to an attribute of ``self``: a run's memory lives
+in its ``MissionRunner``, so one tree serves any number of runs.  The
+checks read the source with ``ast``, so an import inside a function
+counts as well.
 """
 
 import ast
@@ -45,3 +49,61 @@ def test_the_scanner_sees_every_import_form(tmp_path):
 @pytest.mark.parametrize("module, allowed", [("ltlf", set()), ("bt", {"ltlf"})])
 def test_layer_imports_only_below_it(module, allowed):
     assert ppabt_imports(SRC / f"{module}.py") <= allowed
+
+
+def _writes_self(target: ast.expr) -> bool:
+    """Whether an assignment target stores into an attribute of ``self``
+    (``self.x``, ``self.x.y``, ``self.x[i]``, or one inside a tuple)."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_writes_self(t) for t in target.elts)
+    if isinstance(target, ast.Starred):
+        return _writes_self(target.value)
+    while isinstance(target, (ast.Attribute, ast.Subscript)):
+        if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                and target.value.id == "self"):
+            return True
+        target = target.value
+    return False
+
+
+def tick_self_writes(path: Path) -> tuple[int, list[int]]:
+    """How many ``tick`` methods the file defines, and the lines where one
+    of them assigns to an attribute of ``self``."""
+    ticks, lines = 0, []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, ast.FunctionDef) or func.name != "tick":
+            continue
+        ticks += 1
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            lines.extend(node.lineno for t in targets if _writes_self(t))
+    return ticks, lines
+
+
+def test_the_tick_scan_sees_every_store_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class N:\n"
+        "    def tick(self, ctx):\n"
+        "        self.a = 1\n"
+        "        self.b += 1\n"
+        "        x, self.c = 1, 2\n"
+        "        self.d[0] = 1\n"
+        "        self.e.f: int = 1\n"
+        "        ctx.g = self.h\n"
+        "        ctx.i[self.j] = 1\n"
+        "        return ctx.k\n\n"
+        "    def other(self):\n"
+        "        self.l = 1\n")
+    assert tick_self_writes(probe) == (1, [3, 4, 5, 6, 7])
+
+
+def test_bt_tick_methods_keep_no_state_on_the_node():
+    ticks, lines = tick_self_writes(SRC / "bt.py")
+    assert ticks >= 8
+    assert lines == [], f"tick assigns to self at bt.py lines {lines}"

@@ -128,6 +128,16 @@ class TestFeedbackUpdate:
         assert policy.tables["H"]["b"][1] < 0.25
         assert "b" not in policy.tables["C"]
 
+    def test_unknown_phase_rejected(self):
+        with pytest.raises(ValueError, match="phases must be among C, H"):
+            EpisodeRecord([("1,1", 0)], 1, ["X"])
+
+    def test_segments_hold_only_phases_that_ran(self):
+        # feedback_update relies on it: no segment comes out empty
+        assert EpisodeRecord([("a", 0)], b=-1, phases=["H"]).segments() == \
+            [("H", [("a", 0)], -1)]
+        assert EpisodeRecord([], b=1).segments() == []
+
     def test_rows_stay_distributions_under_fuzz(self):
         rng = random.Random(33)
         policy = Policy()
