@@ -71,6 +71,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type of the trace-length options ``--max-trace`` and ``--bound``."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -90,8 +98,8 @@ def infer_alphabet(text: str) -> set[str]:
 
 def _load_mission(args):
     text = Path(args.mission).read_text() if args.mission else C2H_TEXT
-    if args.alphabet:
-        alphabet = set(args.alphabet.split(","))
+    if args.alphabet is not None:
+        alphabet = {name for name in args.alphabet.split(",") if name}
     else:
         alphabet = infer_alphabet(text)
     return parse_mission(text, alphabet), alphabet
@@ -297,7 +305,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compile", help="mission file to BT JSON and DOT")
     common(p)
     p.add_argument("--theta", type=non_negative_int, default=1)
-    p.add_argument("--max-trace", type=int, default=50)
+    p.add_argument("--max-trace", type=positive_int, default=50)
     p.add_argument("--dot", help="write Graphviz text here")
     p.set_defaults(fn=cmd_compile)
 
@@ -305,7 +313,7 @@ def build_parser() -> _Parser:
     common(p, mission=False, seed_help="base of the per-cell seeds")
     p.add_argument("--config", help="JSON overriding the sweep value sets")
     p.add_argument("--trials", type=non_negative_int, default=None)
-    p.add_argument("--max-trace", type=int, default=50)
+    p.add_argument("--max-trace", type=positive_int, default=50)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("learn", help="BT-feedback learning runs plus inference")
@@ -315,7 +323,7 @@ def build_parser() -> _Parser:
     p.add_argument("--episodes", type=non_negative_int, default=200)
     p.add_argument("--trials", type=non_negative_int, default=50,
                    help="inference trials per learned policy")
-    p.add_argument("--max-trace", type=int, default=50)
+    p.add_argument("--max-trace", type=positive_int, default=50)
     p.add_argument("--discount", type=float, default=0.9)
     p.add_argument("--start", type=int, nargs=2, default=(4, 1),
                    help="learning start cell (column row)")
@@ -326,7 +334,7 @@ def build_parser() -> _Parser:
     p.add_argument("--policy", required=True, help="policy JSON path")
     p.add_argument("--p-in", dest="p_in_single", type=float, default=0.95)
     p.add_argument("--trials", type=non_negative_int, default=50)
-    p.add_argument("--max-trace", type=int, default=50)
+    p.add_argument("--max-trace", type=positive_int, default=50)
     p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("verify", help="bounded soundness check")
@@ -335,7 +343,7 @@ def build_parser() -> _Parser:
     common(p, mission=False, seed_help="fuzzed corpus seed; only without --mission")
     p.add_argument("--missions", type=non_negative_int, default=50,
                    help="fuzzed corpus size; only without --mission")
-    p.add_argument("--bound", type=int, default=5)
+    p.add_argument("--bound", type=positive_int, default=5)
     p.add_argument("--theta", type=non_negative_int, default=1,
                    help="Finally retry budget; only with --mission")
     p.set_defaults(fn=cmd_verify)

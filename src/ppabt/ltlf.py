@@ -6,10 +6,12 @@ Formulas are immutable trees built from atoms and the operators
 unless they are atoms; unary operators may chain (``F ! a``) or take a
 parenthesized operand (``F (& a b)``).
 
-The ``| & U`` prefix ladder (``parse_binary``) is shared with the
-mission language, whose leaves are ``task(...)`` literals instead of
-atoms.  Every parser built on ``_Cursor`` refuses input nested deeper
-than ``MAX_NESTING`` levels with a ParseError.
+One prefix parser, ``parse_prefix``, reads both this language and the
+mission language: it takes the unary operators and the leaf parser, so
+missions reuse it with ``F`` alone and ``task(...)`` literals for atoms.
+The infix propositional parser of task conditions (``parse_condition``)
+lives here too.  This module alone counts nesting: every parser refuses
+input nested deeper than ``MAX_NESTING`` levels with a ParseError.
 
 Evaluation is over finite traces of proposition valuations.  ``True``
 and ``False`` are reserved atoms with constant value.
@@ -354,8 +356,10 @@ class _Cursor:
             raise ParseError(f"unexpected {tok.text!r}", tok.pos, expected=repr(text))
         return tok
 
-    def enter(self, tok: Token) -> None:
-        """Open the operator or ``(`` at ``tok``; past MAX_NESTING it is an error."""
+    def enter(self) -> None:
+        """Take the operator or ``(`` at the cursor and open it; past
+        MAX_NESTING it is an error."""
+        tok = self.take()
         if tok.text == "(":
             self.parens += 1
             count, what = self.parens, "parentheses"
@@ -379,34 +383,54 @@ def parse_text(text: str, parse: Callable[[_Cursor], Formula]) -> Formula:
 _LADDER = tuple((cls.symbol, cls) for cls in (Or, And, Until))  # loosest first
 
 
-def parse_binary(cur: _Cursor, leaf: Callable[[_Cursor], Formula],
-                 level: int = 0) -> Formula:
-    """The ``| & U`` prefix ladder, loosest first, over ``leaf`` operands.
+def parse_prefix(text: str, unary: dict[str, type[Unary]],
+                 leaf: Callable[[_Cursor], Formula]) -> Formula:
+    """Parse prefix text: the ``| & U`` ladder, loosest first, over operands.
 
-    In ``op left right`` the left operand re-enters the operator's own
-    level (binary operators are left associative) and the right operand
-    the next tighter one; below ``U`` the leaf parser takes over.
+    An operand is ``( ... )`` around a whole expression, an operator from
+    ``unary`` applied to an operand, or whatever ``leaf`` parses at the
+    cursor.  In ``op left right`` the left operand re-enters the
+    operator's own level (binary operators are left associative) and the
+    right operand the next tighter one; below ``U`` come the operands.
     """
-    tok = cur.peek()
-    while level < len(_LADDER) and tok.text != _LADDER[level][0]:
-        level += 1
-    if level == len(_LADDER):
+    def operand(cur: _Cursor) -> Formula:
+        tok = cur.peek()
+        if tok.text == "(":
+            cur.enter()
+            inner = ladder(cur, 0)
+            cur.expect(")")
+            cur.parens -= 1
+            return inner
+        if tok.text in unary:
+            cur.enter()
+            child = operand(cur)
+            cur.depth -= 1
+            return unary[tok.text](child)
         return leaf(cur)
-    cur.take()
-    cur.enter(tok)
-    left = parse_binary(cur, leaf, level)
-    right = parse_binary(cur, leaf, level + 1)
-    cur.depth -= 1
-    return _LADDER[level][1](left, right)
+
+    def ladder(cur: _Cursor, level: int) -> Formula:
+        tok = cur.peek()
+        while level < len(_LADDER) and tok.text != _LADDER[level][0]:
+            level += 1
+        if level == len(_LADDER):
+            return operand(cur)
+        cur.enter()
+        left = ladder(cur, level)
+        right = ladder(cur, level + 1)
+        cur.depth -= 1
+        return _LADDER[level][1](left, right)
+
+    return parse_text(text, lambda cur: ladder(cur, 0))
 
 
-def parse_group(cur: _Cursor, leaf: Callable[[_Cursor], Formula]) -> Formula:
-    """``( ... )`` around a whole ladder expression, the cursor at ``(``."""
-    cur.enter(cur.take())
-    inner = parse_binary(cur, leaf)
-    cur.expect(")")
-    cur.parens -= 1
-    return inner
+def _atom(cur: _Cursor, alphabet: frozenset[str], expected: str) -> Atom:
+    """The atom at the cursor: ``True``, ``False`` or a name in ``alphabet``."""
+    tok = cur.take()
+    if tok.kind != "word":
+        raise ParseError(f"unexpected {tok.text!r}", tok.pos, expected=expected)
+    if tok.text not in alphabet and tok.text not in ("True", "False"):
+        raise UnknownAtom(tok.text)
+    return Atom(tok.text)
 
 
 _PREFIX_UNARY = {cls.symbol: cls for cls in (Not, Next, Finally, Globally)}
@@ -416,30 +440,72 @@ def parse_ltlf(text: str, alphabet: set[str] | frozenset[str]) -> Formula:
     """Parse prefix-syntax LTLf text into a Formula.
 
     Precedence from loosest to tightest: ``|``, ``&``, ``U``, then the
-    unary operators; binary operators are left associative (the left
-    operand of an operator re-enters the same precedence level).
-    Atoms outside ``alphabet`` raise UnknownAtom; ``True``/``False``
-    are always admitted.
+    unary operators; binary operators are left associative.  Atoms
+    outside ``alphabet`` raise UnknownAtom; ``True``/``False`` are always
+    admitted.
     """
     alphabet = frozenset(alphabet)
+    return parse_prefix(text, _PREFIX_UNARY,
+                        lambda cur: _atom(cur, alphabet, "atom or '('"))
 
-    def leaf(cur: _Cursor) -> Formula:
-        tok = cur.peek()
-        if tok.text == "(":
-            return parse_group(cur, leaf)
-        cur.take()
-        if tok.text in _PREFIX_UNARY:
-            cur.enter(tok)
-            child = leaf(cur)
-            cur.depth -= 1
-            return _PREFIX_UNARY[tok.text](child)
-        if tok.kind == "word":
-            if tok.text not in ("True", "False") and tok.text not in alphabet:
-                raise UnknownAtom(tok.text)
-            return Atom(tok.text)
-        raise ParseError(f"unexpected {tok.text!r}", tok.pos, expected="atom or '('")
 
-    return parse_text(text, lambda cur: parse_binary(cur, leaf))
+def parse_condition(cur: _Cursor, alphabet: frozenset[str]) -> Formula:
+    """The infix propositional expression at the cursor, such as
+    ``!a & (b | c)``; it ends before the first token that cannot extend it.
+
+    Each operator counts as nested to the end of the condition, not just
+    over its operands: ``a & b & c`` nests as ``(a & b) & c``, so only the
+    total count bounds the depth of the tree a chain builds.  The count
+    is restored when the condition ends.
+    """
+    depth = cur.depth
+    cond = _infix(cur, alphabet, 0)
+    cur.depth = depth
+    return cond
+
+
+def _infix(cur: _Cursor, alphabet: frozenset[str], level: int) -> Formula:
+    """``|`` (level 0) over ``&`` (level 1), both left associative, over
+    ``!``, atoms and ``( )`` (level 2)."""
+    if level < 2:
+        op, cls = _LADDER[level]
+        left = _infix(cur, alphabet, level + 1)
+        while cur.peek().text == op:
+            cur.enter()
+            left = cls(left, _infix(cur, alphabet, level + 1))
+        return left
+    tok = cur.peek()
+    if tok.text == "!":
+        cur.enter()
+        return Not(_infix(cur, alphabet, 2))
+    if tok.text == "(":
+        cur.enter()
+        inner = _infix(cur, alphabet, 0)
+        cur.expect(")")
+        cur.parens -= 1
+        return inner
+    return _atom(cur, alphabet, "atom, '!' or '('")
+
+
+def parse_prop(text: str, alphabet: set[str] | frozenset[str]) -> Formula:
+    """Parse a whole infix propositional expression such as ``!a & (b | c)``."""
+    alpha = frozenset(alphabet)
+    return parse_text(text, lambda cur: parse_condition(cur, alpha))
+
+
+def render_prop(formula: Formula) -> str:
+    """Infix text for a propositional formula, nested operators parenthesized."""
+    def wrap(f: Formula) -> str:
+        return f"({render_prop(f)})" if f.args else render_prop(f)
+
+    if isinstance(formula, TEMPORAL_OPS):
+        raise ValueError(f"not propositional: {formula}")
+    if not formula.args:
+        return formula.name
+    operands = [wrap(arg) for arg in formula.args]
+    if len(operands) == 1:
+        return formula.symbol + operands[0]
+    return f" {formula.symbol} ".join(operands)
 
 
 def format_formula(formula: Formula) -> str:

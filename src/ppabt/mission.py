@@ -7,11 +7,14 @@ and ``task(...)`` literals, ``#`` starts a comment::
       (F task(home,   post=Home,   pre=Cheese, gc=!Fire, tc=True, action=home))
 
 A mission is an LTLf formula whose leaves are ``Task`` literals: its
-operators are the ``ltlf`` nodes of the same name, parsed by the same
-prefix ladder.  Precedence, loosest first: ``|``, ``&``, ``U``, ``F``;
-binary operators are left associative.  Task condition fields hold
-infix propositional expressions (``! & | ( )``).  Each task expands to
-the goal formula
+operators are the ``ltlf`` nodes of the same name, and ``ltlf.parse_prefix``
+parses it with ``F`` as the one unary operator and the task literal as
+the leaf.  Precedence, loosest first: ``|``, ``&``, ``U``, ``F``; binary
+operators are left associative and ``F`` may chain.  Task condition
+fields hold infix propositional expressions (``! & | ( )``), read by
+``ltlf.parse_condition``.  This module owns only the tasks: their spec,
+their literal and their expansion.  Each task expands to the goal
+formula
 
     (G gc & poc)  |  ((G gc & F pre) & (tc U (action & G gc)))
 
@@ -25,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ltlf
-# The mission operators are the LTLf nodes: ``mission.Until`` is ``ltlf.Until``.
+# The mission operators are the LTLf nodes (``mission.Until`` is
+# ``ltlf.Until``), and the condition parser and printer are ltlf's.
 from .ltlf import (
-    And, Finally, Formula, Or, ParseError, UnknownAtom, Until, _Cursor,
-    is_propositional, parse_binary, parse_group, parse_text,
+    And, Finally, Formula, Or, ParseError, Until, _Cursor,
+    is_propositional, parse_condition, parse_prefix, parse_prop, render_prop,
 )
 
 ACTION_PREFIX = "__action_"
@@ -149,69 +153,7 @@ def expand_mission(expr: MissionExpr) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Infix propositional expressions (task condition fields)
-
-def parse_prop(text: str, alphabet: set[str] | frozenset[str]) -> Formula:
-    """Parse an infix propositional expression such as ``!a & (b | c)``."""
-    alpha = frozenset(alphabet)
-    return parse_text(text, lambda cur: _parse_prop(cur, alpha))
-
-
-_INFIX = tuple((cls.symbol, cls) for cls in (Or, And))  # loosest first
-
-
-def _parse_prop(cur: _Cursor, alphabet: frozenset[str], level: int = 0) -> Formula:
-    """``|`` over ``&`` over ``!``, atoms and ``( )``, binary operators
-    left associative.
-
-    Each operator counts as nested to the end of the condition, not just
-    over its operands: ``a & b & c`` nests as ``(a & b) & c``, so only the
-    total count bounds the depth of the tree a chain builds.
-    """
-    if level == len(_INFIX):
-        return _parse_prop_not(cur, alphabet)
-    op, cls = _INFIX[level]
-    left = _parse_prop(cur, alphabet, level + 1)
-    while cur.peek().text == op:
-        cur.enter(cur.take())
-        left = cls(left, _parse_prop(cur, alphabet, level + 1))
-    return left
-
-
-def _parse_prop_not(cur: _Cursor, alphabet: frozenset[str]) -> Formula:
-    tok = cur.take()
-    if tok.text == "!":
-        cur.enter(tok)
-        return ltlf.Not(_parse_prop_not(cur, alphabet))
-    if tok.text == "(":
-        cur.enter(tok)
-        inner = _parse_prop(cur, alphabet)
-        cur.expect(")")
-        cur.parens -= 1
-        return inner
-    if tok.kind == "word":
-        if tok.text.startswith(ACTION_PREFIX):
-            raise ReservedAtom(f"{tok.text} is reserved for action tracking")
-        if tok.text not in ("True", "False") and tok.text not in alphabet:
-            raise UnknownAtom(tok.text)
-        return ltlf.Atom(tok.text)
-    raise ParseError(f"unexpected {tok.text!r}", tok.pos, expected="atom, '!' or '('")
-
-
-def render_prop(formula: Formula) -> str:
-    """Infix text for a propositional formula, nested operators parenthesized."""
-    def wrap(f: Formula) -> str:
-        return f"({render_prop(f)})" if f.args else render_prop(f)
-
-    if isinstance(formula, ltlf.TEMPORAL_OPS):
-        raise ValueError(f"not propositional: {formula}")
-    if not formula.args:
-        return formula.name
-    operands = [wrap(arg) for arg in formula.args]
-    if len(operands) == 1:
-        return formula.symbol + operands[0]
-    return f" {formula.symbol} ".join(operands)
-
+# Mission parser
 
 def ppa_task(name: str, post: str, pre: str = "True", gc: str = "True",
              tc: str = "True", action: str | None = None,
@@ -228,9 +170,6 @@ def ppa_task(name: str, post: str, pre: str = "True", gc: str = "True",
     )
 
 
-# ---------------------------------------------------------------------------
-# Mission parser
-
 def parse_mission(text: str, alphabet: set[str] | frozenset[str]) -> MissionExpr:
     """Parse mission text into a MissionExpr tree.
 
@@ -240,29 +179,16 @@ def parse_mission(text: str, alphabet: set[str] | frozenset[str]) -> MissionExpr
     """
     alpha = frozenset(alphabet)
     seen: set[str] = set()
-
-    def operand(cur: _Cursor, expected: str) -> MissionExpr:
-        tok = cur.peek()
-        if tok.text == "task":
-            return _parse_task_literal(cur, alpha, seen)
-        if tok.text == "(":
-            return parse_group(cur, leaf)
-        raise ParseError(f"unexpected {tok.text!r}", tok.pos, expected=expected)
-
-    def leaf(cur: _Cursor) -> MissionExpr:
-        tok = cur.peek()
-        if tok.text != "F":
-            return operand(cur, "'F', 'task(' or '('")
-        cur.enter(cur.take())
-        child = operand(cur, "'task(' or '('")
-        cur.depth -= 1
-        return Finally(child)
-
-    return parse_text(text, lambda cur: parse_binary(cur, leaf))
+    return parse_prefix(text, {"F": Finally},
+                        lambda cur: _parse_task_literal(cur, alpha, seen))
 
 
-def _parse_task_literal(cur, alphabet, seen) -> Task:
-    cur.expect("task")
+def _parse_task_literal(cur: _Cursor, alphabet: frozenset[str],
+                        seen: set[str]) -> Task:
+    tok = cur.take()
+    if tok.text != "task":
+        raise ParseError(f"unexpected {tok.text!r}", tok.pos,
+                         expected="'F', 'task(' or '('")
     cur.expect("(")
     name_tok = cur.take()
     if name_tok.kind != "word":
@@ -292,9 +218,7 @@ def _parse_task_literal(cur, alphabet, seen) -> Task:
         else:
             # A field value stops at the comma or closing paren of the
             # literal: the infix parser's own parentheses are balanced.
-            depth = cur.depth
-            fields[key_tok.text] = _parse_prop(cur, alphabet)
-            cur.depth = depth
+            fields[key_tok.text] = parse_condition(cur, alphabet)
     cur.expect(")")
 
     if "post" not in fields:

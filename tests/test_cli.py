@@ -64,6 +64,24 @@ class TestParseCompile:
         assert main(["parse", "--mission", str(path)]) == EXIT_USAGE
         assert_single_error_line(capsys, "reserved")
 
+    # An explicit alphabet is used as given, even when empty.  The
+    # reserved prefix is checked on the task, once the alphabet has
+    # admitted the atom.
+    @pytest.mark.parametrize("text, alphabet, fragment", [
+        (None, "", "not in the declared alphabet"),
+        ("task(t, post=__action_x)", "a", "not in the declared alphabet"),
+        ("task(t, post=__action_x)", "a,,__action_x", "reserved"),
+    ], ids=["c2h_empty", "reserved_not_declared", "reserved_declared"])
+    def test_explicit_alphabet_is_honoured(self, tmp_path, capsys, text, alphabet,
+                                           fragment):
+        path = "missions/c2h.mission"
+        if text is not None:
+            path = tmp_path / "m.mission"
+            path.write_text(text + "\n")
+        assert main(["parse", "--mission", str(path),
+                     "--alphabet", alphabet]) == EXIT_USAGE
+        assert_single_error_line(capsys, fragment)
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
@@ -160,22 +178,31 @@ class TestMalformedInput:
         assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
         assert_single_error_line(capsys, "sweep config")
 
-    @pytest.mark.parametrize("argv", [
-        ["infer", "--policy", "policy.json", "--trials", "-1"],
-        ["learn", "--runs", "-1"],
-        ["learn", "--episodes", "-1"],
-        ["verify", "--missions", "-1"],
-        ["verify", "--theta", "-1"],
-        ["sweep", "--trials", "-1"],
+    @pytest.mark.parametrize("argv, message", [
+        (["infer", "--policy", "policy.json", "--trials", "-1"], "must not be negative"),
+        (["learn", "--runs", "-1"], "must not be negative"),
+        (["learn", "--episodes", "-1"], "must not be negative"),
+        (["verify", "--missions", "-1"], "must not be negative"),
+        (["verify", "--theta", "-1"], "must not be negative"),
+        (["sweep", "--trials", "-1"], "must not be negative"),
+        (["verify", "--missions", "0", "--bound", "-3"], "--bound: must be at least 1"),
+        (["verify", "--bound", "0"], "--bound: must be at least 1"),
+        (["sweep", "--trials", "0", "--max-trace", "-1"], "--max-trace: must be at least 1"),
+        (["learn", "--runs", "0", "--max-trace", "-4"], "--max-trace: must be at least 1"),
+        (["compile", "--max-trace", "0"], "--max-trace: must be at least 1"),
+        (["infer", "--policy", "policy.json", "--max-trace", "-4"],
+         "--max-trace: must be at least 1"),
     ], ids=["infer_trials", "learn_runs", "learn_episodes", "verify_missions",
-            "verify_theta", "sweep_trials"])
-    def test_negative_count_is_usage_error(self, capsys, argv):
+            "verify_theta", "sweep_trials", "verify_bound", "verify_bound_zero",
+            "sweep_max_trace", "learn_max_trace", "compile_max_trace",
+            "infer_max_trace"])
+    def test_negative_count_is_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == EXIT_USAGE
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
-        assert len(errors) == 1 and "must not be negative" in errors[0]
+        assert len(errors) == 1 and message in errors[0]
 
     @pytest.mark.parametrize("command", ["parse", "compile", "keydoor"])
     def test_seed_only_where_it_is_read(self, capsys, command):

@@ -3,13 +3,14 @@
 A small grammar builds argv and input files for every subcommand: JSON
 of the wrong type, empty files, non-UTF-8 bytes, a directory where a
 file belongs, missions nested at ``MAX_NESTING`` ± 1, zero and negative
-counts, out-of-range and non-finite numbers, NaN and Infinity policy
+counts and trace lengths, out-of-range and non-finite numbers, NaN and Infinity policy
 rows, and atoms outside the alphabet.  Legal draws sit among them: a
 full valid policy for ``infer`` and a sweep config of known keys only,
 so that every subcommand reaches success as well as a typed error.
 Each case runs ``cli.main`` in-process.  No exception may escape, the
 exit code must be 0, 1 or 2, exit 1 must come with exactly one
-``error:`` line, and each subcommand must exit both 0 and 1 somewhere
+``error:`` line, which names no compiler parameter such as
+``t_task_max`` where a flag was at fault, and each subcommand must exit both 0 and 1 somewhere
 in the run.  A generated sweep crosses one cell at most, of at most
 three trials, and a generated ``learn`` does one run per ``p_in`` of at
 most two episodes and two inference trials.
@@ -134,7 +135,7 @@ def build_case(rng, tmp_path, i: int) -> list[str]:
         if rng.random() < 0.5:
             argv += ["--dot", str(tmp_path / f"bt{i}.dot")]
     elif command == "verify":
-        argv += ["--bound", rng.choice(COUNTS[:3]), "--theta", rng.choice(COUNTS)]
+        argv += ["--bound", rng.choice(["-3", *COUNTS[:3]]), "--theta", rng.choice(COUNTS)]
         if "--mission" not in argv:
             argv += ["--missions", rng.choice(COUNTS)]
     elif command == "infer" and legal:
@@ -146,7 +147,7 @@ def build_case(rng, tmp_path, i: int) -> list[str]:
     elif command == "infer":
         argv += ["--policy", write_input(rng, tmp_path / f"p{i}.json", policy_data(rng)),
                  "--p-in", rng.choice(PROBABILITIES), "--trials", rng.choice(COUNTS[:3]),
-                 "--max-trace", rng.choice(["-1", "0", "1", "50"])]
+                 "--max-trace", rng.choice(["-4", "-1", "0", "1", "50"])]
     elif command == "sweep":
         if legal:
             data = legal_sweep_data(rng)
@@ -160,12 +161,14 @@ def build_case(rng, tmp_path, i: int) -> list[str]:
             trials = ["-1", "0", "1"]
         if "n_trials" not in data or rng.random() < 0.5:
             argv += ["--trials", rng.choice(trials)]
+        if rng.random() < 0.3:
+            argv += ["--max-trace", rng.choice(["1", "50"] if legal else ["-1", "0", "1"])]
     elif command == "learn":
         argv += ["--p-in", rng.choice([*PROBABILITIES, "0.6,0.95", "0.95,", "x"]),
                  "--runs", rng.choice(COUNTS[:3]), "--episodes", rng.choice(COUNTS),
                  "--trials", rng.choice(COUNTS)]
         if rng.random() < 0.5:
-            argv += ["--max-trace", rng.choice(["-1", "0", "1", "50"])]
+            argv += ["--max-trace", rng.choice(["-4", "-1", "0", "1", "50"])]
         if rng.random() < 0.5:
             argv += ["--discount", rng.choice(["-1", "0", "0.9", "1", "1.5", "nan"])]
         if rng.random() < 0.5:
@@ -207,7 +210,7 @@ def test_hostile_cli_input_exits_cleanly(tmp_path, monkeypatch):
         error_lines = [line for line in err.splitlines() if line.startswith("error:")]
         if code not in (0, 1, 2):
             faults.append((argv, repr(code)))
-        elif code == 1 and len(error_lines) != 1:
+        elif code == 1 and (len(error_lines) != 1 or "t_task_max" in err):
             faults.append((argv, err))
     assert not faults, "\n".join(f"{argv}: {what}" for argv, what in faults)
     # the grammar reaches both outcomes of every subcommand

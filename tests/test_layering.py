@@ -1,7 +1,10 @@
-"""The lower layers of ppabt import downwards only, and tree nodes hold
-no run state.
+"""The lower layers of ppabt import downwards only, only ``ltlf`` counts
+parser nesting, and tree nodes hold no run state.
 
 ``ppabt.ltlf`` is the formula layer and imports no other ppabt module.
+It owns the parser cursor, and no other module reads or writes a
+``depth`` or ``parens`` attribute: the nesting limit is decided in one
+place.
 The tick engine ``ppabt.bt`` reads formulas through ``ltlf`` alone and
 knows nothing of the mission language.  No ``tick`` method in
 ``ppabt.bt`` assigns to an attribute of ``self``: a run's memory lives
@@ -49,6 +52,36 @@ def test_the_scanner_sees_every_import_form(tmp_path):
 @pytest.mark.parametrize("module, allowed", [("ltlf", set()), ("bt", {"ltlf"})])
 def test_layer_imports_only_below_it(module, allowed):
     assert ppabt_imports(SRC / f"{module}.py") <= allowed
+
+
+NESTING_COUNTS = {"depth", "parens"}
+
+
+def nesting_count_uses(path: Path) -> list[int]:
+    """Lines where the file reads, writes or deletes an attribute named
+    ``depth`` or ``parens``, on any object."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr in NESTING_COUNTS)
+
+
+def test_the_nesting_scan_sees_every_use(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "depth = parens = 0\n"
+        "cur.depth = 1\n"
+        "cur.parens -= 1\n"
+        "x = cur.depth\n"
+        "f(a.b.parens)\n"
+        "del cur.depth\n"
+        "cur.max_depth = cur.depths = depth\n"
+        "y = {'depth': 1}\n")
+    assert nesting_count_uses(probe) == [2, 3, 4, 5, 6]
+
+
+def test_only_ltlf_counts_nesting():
+    users = {path.stem: lines for path in SRC.glob("*.py")
+             if (lines := nesting_count_uses(path))}
+    assert set(users) == {"ltlf"}, f"nesting counts used outside ltlf: {users}"
 
 
 def _writes_self(target: ast.expr) -> bool:

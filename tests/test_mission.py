@@ -172,6 +172,12 @@ class TestGrammarProperties:
     def test_render_roundtrip(self):
         rng = random.Random(22)
         alphabet = {"a", "b", "c"}
+        # F chains, and prints with its operand parenthesized
+        chained = parse_mission("F F task(t, post=a)", alphabet)
+        assert chained == parse_mission("F (F task(t, post=a))", alphabet)
+        assert render_mission(chained) == (
+            "F (F task(t, post=a, pre=True, gc=True, tc=True, action=t))")
+        assert parse_mission(render_mission(chained), alphabet) == chained
         for _ in range(200):
             text = derive_mission_text(rng, [0], alphabet, depth=4)
             expr = parse_mission(text, alphabet)
@@ -227,7 +233,10 @@ class TestMissionAlphabet:
 def nested_mission(levels, shape):
     """Mission text nested exactly ``levels`` deep, about half of it inside
     a task condition: in operators and parentheses both (the deepest
-    parse), or in operators alone (the deepest tree)."""
+    parse), or in operators alone (the deepest tree); or all of it in a
+    chain of ``F`` over one task."""
+    if shape == "F-chain":
+        return "F " * levels + "task(t, post=a)"
     outer, inner = levels // 2, levels - levels // 2
     if shape == "parentheses":
         cond = "!(" * inner + "a" + ")" * inner
@@ -247,7 +256,7 @@ class TestNesting:
         with pytest.raises(ParseError, match="more than 100 nested"):
             parse(text, {"a"})
 
-    @pytest.mark.parametrize("shape", ["parentheses", "operators"])
+    @pytest.mark.parametrize("shape", ["parentheses", "operators", "F-chain"])
     def test_mission_at_the_limit_runs_end_to_end(self, shape):
         alphabet = {"a"}
         expr = parse_mission(nested_mission(MAX_NESTING, shape), alphabet)
