@@ -109,12 +109,15 @@ class Parallel(ControlNode):
     symbol = "⇉"  # =>=>
 
     def tick(self, ctx):
-        statuses = [child.tick(ctx) for child in self.children]
-        if any(s is FAILURE for s in statuses):
-            return FAILURE
-        if all(s is SUCCESS for s in statuses):
-            return SUCCESS
-        return RUNNING
+        # every child ticks; any Failure wins, then any Running
+        result = SUCCESS
+        for child in self.children:
+            status = child.tick(ctx)
+            if status is FAILURE:
+                result = FAILURE
+            elif status is RUNNING and result is SUCCESS:
+                result = RUNNING
+        return result
 
 
 class Condition(BtNode):

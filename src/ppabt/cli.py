@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     except SoundnessViolation as err:
         print(f"verification FAILED: {err}", file=sys.stderr)
         for t, state in enumerate(err.trace_states):
-            print(f"  tick {t}: {json.dumps(state, sort_keys=True)}",
+            print(f"  tick {t}: {json.dumps(dict(state), sort_keys=True)}",
                   file=sys.stderr)
         return EXIT_VIOLATION
 

@@ -10,12 +10,21 @@ Reaching the fire cell does not end an episode here; mission failure
 comes from the global-constraint condition in the behavior tree.  The
 planner's per-phase MDP makes fire and the phase goal absorbing and
 pays rewards on entering a cell.
+
+A grid has only ``2 * width * height`` states ``(cell, has_cheese)``, so
+``GridEnv`` reads its propositions from a table built once per geometry
+(size plus cheese, fire and home cells) and shared by every env on it.
+Each entry is a read-only view: one state object serves every tick,
+trace and run that reaches that state, and none of them can change it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from random import Random
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -109,6 +118,24 @@ def propositions(state: GridState, cfg: GridConfig) -> dict[str, bool]:
     return props
 
 
+@cache
+def _proposition_table(width: int, height: int, cheese_cell: Cell,
+                       fire_cell: Cell, home_cell: Cell
+                       ) -> dict[tuple[Cell, bool], MappingProxyType]:
+    """(cell, has_cheese) -> read-only propositions, for one geometry.
+
+    Keyed on the geometry's values, not on a config object: configs are
+    mutable, and propositions read nothing else of one.  The start cell
+    is any in-bounds cell, as propositions ignore it.
+    """
+    cfg = GridConfig(width=width, height=height, cheese_cell=cheese_cell,
+                     fire_cell=fire_cell, home_cell=home_cell,
+                     start_cell=home_cell)
+    return {(cell, has_cheese): MappingProxyType(
+                propositions(GridState(cell, has_cheese), cfg))
+            for cell in cfg.cells() for has_cheese in (False, True)}
+
+
 class GridEnv:
     """Environment adapter for the behavior-tree run loop."""
 
@@ -117,10 +144,15 @@ class GridEnv:
         self.cfg = cfg
         self.rng = rng if rng is not None else Random(cfg.seed)
         cell = start_cell if start_cell is not None else cfg.start_cell
+        if not cfg.in_bounds(cell):
+            raise ValueError(f"start cell {cell} outside the {cfg.width}x{cfg.height} grid")
         self.state = GridState(cell, has_cheese=cell == cfg.cheese_cell)
+        self._props = _proposition_table(cfg.width, cfg.height, cfg.cheese_cell,
+                                         cfg.fire_cell, cfg.home_cell)
 
-    def propositions(self) -> dict[str, bool]:
-        return propositions(self.state, self.cfg)
+    def propositions(self) -> Mapping[str, bool]:
+        state = self.state
+        return self._props[state.mouse_cell, state.has_cheese]
 
     def apply(self, action: int | None) -> None:
         if action is not None:

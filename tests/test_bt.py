@@ -58,18 +58,21 @@ class TestControlNodes:
         assert status is RUNNING
         assert ctx.pending == ("x", "go")
 
-    def test_parallel_two_child_status_table(self):
-        # any failure wins, then all-success, otherwise running
-        for s1, s2 in itertools.product([SUCCESS, FAILURE, RUNNING], repeat=2):
-            tree = Parallel([StubNode([s1]), StubNode([s2])])
-            status, _ = tick_tree(tree, {})
-            if FAILURE in (s1, s2):
-                expected = FAILURE
-            elif (s1, s2) == (SUCCESS, SUCCESS):
-                expected = SUCCESS
-            else:
-                expected = RUNNING
-            assert status is expected, (s1, s2)
+    def test_parallel_status_table(self):
+        # any failure wins, then all-success, otherwise running, whatever
+        # the order; every child ticks exactly once
+        for n in (1, 2, 3):
+            for outcomes in itertools.product([SUCCESS, FAILURE, RUNNING], repeat=n):
+                stubs = [StubNode([s]) for s in outcomes]
+                status, _ = tick_tree(Parallel(stubs), {})
+                if FAILURE in outcomes:
+                    expected = FAILURE
+                elif all(s is SUCCESS for s in outcomes):
+                    expected = SUCCESS
+                else:
+                    expected = RUNNING
+                assert status is expected, outcomes
+                assert [s.ticks for s in stubs] == [1] * n, outcomes
 
     def test_parallel_ticks_all_children(self):
         stubs = [StubNode([FAILURE]), StubNode([SUCCESS]), StubNode([RUNNING])]

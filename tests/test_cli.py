@@ -4,6 +4,7 @@ import json
 import pytest
 
 from helpers import counterexample_mission
+from ppabt import planners
 from ppabt.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from ppabt.mission import render_mission
 
@@ -150,6 +151,21 @@ class TestLearnInfer:
         data = json.loads(capsys.readouterr().out)
         assert data["n_trials"] == 20
         assert 0.0 <= data["success_probability"] <= 1.0
+
+    def test_soundness_failure_prints_read_only_states(self, monkeypatch, capsys):
+        # grid states are read-only views; the failure report still prints
+        # every tick of the offending trace as JSON
+        monkeypatch.setattr(planners, "audit_trace", lambda *args: False)
+        assert main(["learn", "--p-in", "0.9", "--runs", "1", "--episodes", "3",
+                     "--trials", "1"]) == EXIT_VIOLATION
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("verification FAILED: ")
+        ticks = lines[1:]
+        assert ticks and len(ticks) == len(lines) - 1
+        for t, line in enumerate(ticks):
+            prefix = f"  tick {t}: "
+            assert line.startswith(prefix)
+            assert json.loads(line[len(prefix):])["Cheese"] in (False, True)
 
 
 class TestMalformedInput:

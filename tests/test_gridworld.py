@@ -1,4 +1,5 @@
 from random import Random
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from ppabt.gridworld import (
 )
 
 CFG = GridConfig()
+# a 5x3 grid with every special cell moved off the default geometry
+SMALL = GridConfig(width=5, height=3, cheese_cell=(1, 3), fire_cell=(5, 2),
+                   home_cell=(2, 1), start_cell=(4, 3))
 
 
 class TestStep:
@@ -166,6 +170,37 @@ class TestGridEnv:
     def test_start_on_cheese_cell_sets_flag(self):
         env = GridEnv(CFG, Random(1), start_cell=CFG.cheese_cell)
         assert env.propositions()["Cheese"] is True
+
+    @pytest.mark.parametrize("cfg", [CFG, SMALL], ids=["default", "5x3"])
+    def test_table_matches_propositions(self, cfg):
+        for cell in cfg.cells():
+            for has_cheese in (False, True):
+                env = GridEnv(cfg, Random(0), start_cell=cell)
+                env.state = GridState(cell, has_cheese)
+                props = env.propositions()
+                assert type(props) is MappingProxyType
+                assert props == propositions(GridState(cell, has_cheese), cfg)
+                assert list(props) == list(propositions(env.state, cfg))
+
+    def test_table_shared_per_geometry(self):
+        a = GridEnv(GridConfig(p_in=0.6), Random(0), start_cell=(2, 3))
+        b = GridEnv(GridConfig(p_in=0.9, seed=5), Random(1), start_cell=(2, 3))
+        assert a.propositions() is b.propositions()
+        with pytest.raises(TypeError):
+            a.propositions()["Fire"] = True
+        assert a.propositions()["Fire"] is False
+
+    def test_table_keyed_on_fire_cell(self):
+        moved = GridConfig(fire_cell=(2, 3))
+        env = GridEnv(moved, Random(0), start_cell=(2, 3))
+        assert env.propositions()["Fire"] is True
+        assert GridEnv(CFG, Random(0), start_cell=(2, 3)).propositions()["Fire"] is False
+        env = GridEnv(moved, Random(0), start_cell=CFG.fire_cell)
+        assert env.propositions()["Fire"] is False
+
+    def test_start_outside_grid_rejected(self):
+        with pytest.raises(ValueError, match="outside the 4x4 grid"):
+            GridEnv(CFG, Random(0), start_cell=(5, 1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

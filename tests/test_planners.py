@@ -265,11 +265,10 @@ class TestEvaluatePolicy:
         assert out == ""
         assert err == "error: invalid row [nan, nan, nan, nan] at (C, 3,1)\n"
 
-    def test_read_only_grid_states_audit(self, monkeypatch):
-        # the runner keeps each state the env hands it: read-only views
-        # run whole episodes, and every successful one passes its audit
-        monkeypatch.setattr(gw.GridEnv, "propositions", lambda env: MappingProxyType(
-            gw.propositions(env.state, env.cfg)))
+    def test_read_only_grid_states_audit(self):
+        # the grid hands out read-only states from its table and the
+        # runner keeps them as given: they run whole episodes, and every
+        # successful one passes its audit
         cfg = gw.GridConfig(p_in=0.9)
         runtime = C2hRuntime(build_c2h(cfg), cfg, plan_grid_policies(cfg), 50)
         outcomes = set()
