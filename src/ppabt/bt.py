@@ -63,11 +63,27 @@ class BtNode:
 
 
 class ControlNode(BtNode):
-    """Sequence, selector or parallel over a non-empty list of children."""
+    """Sequence, selector or parallel over a non-empty list of children.
+
+    Sequence and selector are duals sharing one short-circuit loop: tick
+    the children from the left while each returns ``go_on`` (Success for
+    sequence, Failure for selector), and return the first other status,
+    else ``go_on``.  Parallel has its own ``tick``.
+    """
+
+    go_on: Status
 
     def __init__(self, children: list[BtNode]):
         assert children, "control node needs at least one child"
         self.children = list(children)
+
+    def tick(self, ctx):
+        go_on = self.go_on
+        for child in self.children:
+            status = child.tick(ctx)
+            if status is not go_on:
+                return status
+        return go_on
 
 
 class DecoratorNode(BtNode):
@@ -83,25 +99,13 @@ class DecoratorNode(BtNode):
 class Sequence(ControlNode):
     kind = "sequence"
     symbol = "→"  # ->
-
-    def tick(self, ctx):
-        for child in self.children:
-            status = child.tick(ctx)
-            if status is not SUCCESS:
-                return status
-        return SUCCESS
+    go_on = SUCCESS
 
 
 class Selector(ControlNode):
     kind = "selector"
     symbol = "?"
-
-    def tick(self, ctx):
-        for child in self.children:
-            status = child.tick(ctx)
-            if status is not FAILURE:
-                return status
-        return FAILURE
+    go_on = FAILURE
 
 
 class Parallel(ControlNode):
@@ -232,16 +236,6 @@ class MissionRoot(DecoratorNode):
         if status is not SUCCESS and ctx.t >= self.t_task_max:
             status = FAILURE
         return status
-
-
-class TaskBoundary(DecoratorNode):
-    """Separates one task's subtree from the rest of the mission."""
-
-    kind = "task_boundary"
-    symbol = "◇ task"
-
-    def tick(self, ctx):
-        return self.child.tick(ctx)
 
 
 def iter_nodes(tree: BtNode) -> Iterator[BtNode]:

@@ -20,8 +20,9 @@ scripted.  Tasks that share an action must share its postcondition:
 Mission operators map onto control nodes: or to selector, and to
 parallel, until to sequence (left subtree must succeed before the right
 is ticked), finally to a resetting decorator; the root tracks the
-mission time budget.  Trees carry no ids and tick as built: each run
-keeps its node memory in its ``MissionRunner``, keyed by node.
+mission time budget.  A task leaf compiles to its template's selector
+directly, with no wrapper node.  Trees carry no ids and tick as built:
+each run keeps its node memory in its ``MissionRunner``, keyed by node.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from . import ltlf, mission as ms
 from .bt import (
     ActionRunner, BtNode, Chooser, Condition, FinallyReset, MissionRoot,
-    Parallel, PreconditionLatch, Selector, Sequence, TaskBoundary, iter_nodes,
+    Parallel, PreconditionLatch, Selector, Sequence, iter_nodes,
 )
 
 
@@ -62,7 +63,7 @@ def compile_mission(expr: ms.MissionExpr, cfg: ms.MissionConfig,
                 raise ms.MissionError(
                     f"tasks {first.name!r} and {e.spec.name!r} share action "
                     f"{e.spec.action!r} with different postconditions")
-            return TaskBoundary(compile_task(e.spec, cfg, choose.get(e.spec.action)))
+            return compile_task(e.spec, cfg, choose.get(e.spec.action))
         if isinstance(e, ms.Finally):
             return FinallyReset(build(e.child), cfg.theta)
         control = _CONTROL.get(type(e))

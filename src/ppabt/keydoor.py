@@ -172,18 +172,14 @@ def _failed_stage(world: KeyDoorWorld) -> str:
 def run_experiment(mode: str, theta: int = 1, reversible: bool = True) -> dict:
     """Paper-shaped trial block: normal trials plus per-stage disturbances."""
     run_trial = run_baseline_trial if mode == "baseline" else run_bt_trial
+    perts = [None] * N_NORMAL + [
+        Perturbation(stage, at_progress=1 + i % 2, reversible=reversible)
+        for stage in STAGES for i in range(N_DISTURBED_PER_STAGE)]
     trials = []
-    for i in range(N_NORMAL):
-        result = run_trial(ScenarioScript(theta=theta))
-        result.update(trial=len(trials), disturbed=None)
+    for i, pert in enumerate(perts):
+        result = run_trial(ScenarioScript(theta=theta, perturbation=pert))
+        result.update(trial=i, disturbed=None if pert is None else pert.stage)
         trials.append(result)
-    for stage in STAGES:
-        for i in range(N_DISTURBED_PER_STAGE):
-            pert = Perturbation(stage, at_progress=1 + i % 2,
-                                reversible=reversible)
-            result = run_trial(ScenarioScript(theta=theta, perturbation=pert))
-            result.update(trial=len(trials), disturbed=stage)
-            trials.append(result)
 
     summary = {
         "mode": mode,

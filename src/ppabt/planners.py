@@ -29,6 +29,7 @@ from .verify import audit_trace
 PHASES = ("C", "H")
 TIE_TOL = 1e-9
 MAX_SWEEPS = 1000
+UNIFORM = (0.25, 0.25, 0.25, 0.25)
 
 
 class PlannerError(Exception):
@@ -63,14 +64,16 @@ class Policy:
     kind: str = "stochastic"
 
     def row(self, key: str, phase: str) -> list[float]:
+        """The row to update, inserted uniform if the cell has none."""
         table = self.tables[phase]
         row = table.get(key)
         if row is None:
-            row = table[key] = [0.25, 0.25, 0.25, 0.25]
+            row = table[key] = list(UNIFORM)
         return row
 
     def sample(self, key: str, phase: str, rng: Random) -> int:
-        row = self.row(key, phase)
+        """Draw an action; a cell with no row samples uniform and stays absent."""
+        row = self.tables[phase].get(key, UNIFORM)
         u = rng.random()
         acc = 0.0
         for i in range(3):

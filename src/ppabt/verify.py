@@ -230,32 +230,28 @@ def random_sound_mission(rng: Random, atoms: list[str]) -> ms.MissionExpr:
     and bare conjunctions may also sit at the root, where their window
     is the whole trace.
     """
-    counter = itertools.count(1)
+    tasks: list[ms.Task] = []
 
-    def task() -> tuple[ms.MissionExpr, int]:
-        return _random_task(rng, atoms, next(counter)), 1
+    def task() -> ms.MissionExpr:
+        tasks.append(_random_task(rng, atoms, len(tasks) + 1))
+        return tasks[-1]
 
-    def and_block(budget: int) -> tuple[ms.MissionExpr, int]:
+    def and_block(budget: int) -> ms.MissionExpr:
         if budget <= 1:
             return task()
-        left, lu = task()
-        right, ru = and_block(budget - 1) if rng.random() < 0.3 else task()
-        return ms.And(left, right), lu + ru
+        left = task()
+        return ms.And(left, and_block(budget - 1) if rng.random() < 0.3 else task())
 
-    def certifying(budget: int) -> tuple[ms.MissionExpr, int]:
+    def certifying(budget: int) -> ms.MissionExpr:
         roll = rng.random()
-        if budget >= 2 and roll < 0.25:
-            left, lu = certifying(rng.randint(1, budget - 1))
-            right, ru = certifying(budget - lu)
-            return ms.Until(left, right), lu + ru
         if budget >= 2 and roll < 0.4:
-            left, lu = certifying(rng.randint(1, budget - 1))
-            right, ru = certifying(budget - lu)
-            return ms.Or(left, right), lu + ru
-        child, used = under_f(budget)
-        return ms.Finally(child), used
+            op = ms.Until if roll < 0.25 else ms.Or
+            before = len(tasks)
+            left = certifying(rng.randint(1, budget - 1))
+            return op(left, certifying(budget - (len(tasks) - before)))
+        return ms.Finally(under_f(budget))
 
-    def under_f(budget: int) -> tuple[ms.MissionExpr, int]:
+    def under_f(budget: int) -> ms.MissionExpr:
         roll = rng.random()
         if budget >= 2 and roll < 0.25:
             return and_block(budget)
@@ -264,8 +260,7 @@ def random_sound_mission(rng: Random, atoms: list[str]) -> ms.MissionExpr:
         return task()
 
     budget = rng.randint(1, MAX_FUZZ_TASKS)
-    expr, _ = under_f(budget) if rng.random() < 0.4 else certifying(budget)
-    return expr
+    return under_f(budget) if rng.random() < 0.4 else certifying(budget)
 
 
 def fuzz_corpus_report(n_missions: int, seed: int, bound: int = 5) -> dict:

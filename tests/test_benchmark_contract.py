@@ -66,4 +66,14 @@ def test_node_ticks_of_a_seeded_episode(spans):
 
     cfg = GridConfig(p_in=0.8)
     runtime = C2hRuntime(build_c2h(cfg), cfg, Policy(), 50)
-    assert spans.count_node_ticks(lambda: runtime.run_episode(7)) == (648, 40)
+    assert spans.count_node_ticks(lambda: runtime.run_episode(7)) == (607, 40)
+
+
+def test_node_ticks_of_a_reset_keydoor_trial(spans):
+    """The same counter on a second tree shape, with no seed: the key-door
+    trial whose door stage is disturbed takes one Finally reset."""
+    from ppabt.keydoor import Perturbation, ScenarioScript, run_bt_trial
+
+    script = ScenarioScript(perturbation=Perturbation("door"))
+    assert run_bt_trial(script)["resets"] == 1
+    assert spans.count_node_ticks(lambda: run_bt_trial(script)) == (204, 12)

@@ -9,7 +9,7 @@ from ppabt import ltlf
 from ppabt.bt import (
     ActionRunner, Condition, ConcurrentActionConflict, FAILURE, FinallyReset,
     MissionRoot, MissionRunner, Parallel, PreconditionLatch, RUNNING, SUCCESS,
-    Selector, Sequence, TaskBoundary, bt_to_json, export_dot,
+    Selector, Sequence, bt_to_json, export_dot,
     iter_nodes, node_count, run_to_completion,
 )
 from ppabt.compiler import bind_scripted, compile_mission, compile_task, inline_actions
@@ -81,23 +81,20 @@ class TestControlNodes:
         assert status is FAILURE
         assert [s.ticks for s in stubs] == [1, 1, 1]
 
-    def test_sequence_selector_are_and_or_without_running(self):
-        # exhaustive over 1..3 children of Success/Failure
+    def test_sequence_selector_short_circuit_on_every_status(self):
+        # exhaustive over 1..3 children of Success/Failure/Running: sequence
+        # returns the first non-Success, selector the first non-Failure, and
+        # nothing past the deciding child ticks
         for n in (1, 2, 3):
-            for outcomes in itertools.product([SUCCESS, FAILURE], repeat=n):
-                seq = Sequence([StubNode([s]) for s in outcomes])
-                sel = Selector([StubNode([s]) for s in outcomes])
-                seq_status, _ = tick_tree(seq, {})
-                sel_status, _ = tick_tree(sel, {})
-                assert (seq_status is SUCCESS) == all(s is SUCCESS for s in outcomes)
-                assert (sel_status is SUCCESS) == any(s is SUCCESS for s in outcomes)
-                # short-circuit order: nothing evaluated past the decider
-                first_fail = next((i for i, s in enumerate(outcomes) if s is FAILURE), n)
-                assert [c.ticks for c in seq.children] == \
-                    [1 if i <= first_fail else 0 for i in range(n)]
-                first_succ = next((i for i, s in enumerate(outcomes) if s is SUCCESS), n)
-                assert [c.ticks for c in sel.children] == \
-                    [1 if i <= first_succ else 0 for i in range(n)]
+            for outcomes in itertools.product([SUCCESS, FAILURE, RUNNING], repeat=n):
+                for node, go_on in ((Sequence, SUCCESS), (Selector, FAILURE)):
+                    tree = node([StubNode([s]) for s in outcomes])
+                    status, _ = tick_tree(tree, {})
+                    decider = next((i for i, s in enumerate(outcomes) if s is not go_on), n)
+                    assert status is (outcomes[decider] if decider < n else go_on), \
+                        (node.kind, outcomes)
+                    assert [c.ticks for c in tree.children] == \
+                        [1 if i <= decider else 0 for i in range(n)], (node.kind, outcomes)
 
     def test_parallel_agrees_with_sequence_without_running(self):
         for n in (1, 2, 3):
@@ -196,10 +193,6 @@ class TestDecorators:
     def test_mission_root_allows_success_at_boundary(self):
         node = MissionRoot(StubNode([SUCCESS]), t_task_max=2)
         assert tick_tree(node, {}, t=2)[0] is SUCCESS
-
-    def test_task_boundary_passthrough(self):
-        for s in (SUCCESS, FAILURE, RUNNING):
-            assert tick_tree(TaskBoundary(StubNode([s])), {})[0] is s
 
 
 GRID = {"Cheese", "Fire", "Home"}

@@ -8,7 +8,7 @@ from helpers import derive_mission_text
 from ppabt import ltlf
 from ppabt.bt import (
     ActionRunner, Condition, FinallyReset, MissionRoot, MissionRunner, Parallel,
-    PreconditionLatch, SUCCESS, Selector, Sequence, TaskBoundary, bt_to_json,
+    PreconditionLatch, SUCCESS, Selector, Sequence, bt_to_json,
     export_dot, iter_nodes, node_count,
 )
 from ppabt.compiler import bind_scripted, compile_mission, compile_task, inline_actions
@@ -70,12 +70,12 @@ class TestCompileTask:
 
 
 class TestCompileMission:
-    def test_single_task_is_boundary_under_root(self):
+    def test_single_task_is_its_template_under_root(self):
         expr = parse_mission("task(t, post=Cheese)", GRID)
         tree = compile_mission(expr, CFG)
         assert isinstance(tree, MissionRoot)
         assert tree.t_task_max == CFG.t_task_max
-        assert isinstance(tree.child, TaskBoundary)
+        assert bt_to_json(tree.child) == bt_to_json(compile_task(expr.spec, CFG))
 
     def test_c2h_shape(self):
         text = ("U (F task(cheese, post=Cheese, gc=!Fire)) "
@@ -87,8 +87,10 @@ class TestCompileMission:
         left, right = seq.children
         assert isinstance(left, FinallyReset) and left.theta == CFG.theta
         assert isinstance(right, FinallyReset)
-        assert isinstance(left.child, TaskBoundary)
-        assert isinstance(right.child, TaskBoundary)
+        # each Finally holds its task's template directly
+        assert isinstance(left.child, Selector)
+        assert isinstance(right.child, Selector)
+        assert node_count(tree) == 32
 
     def test_keydoor_nested_untils(self):
         kd = {"NoErr", "KeyStacked", "IsKeyDoor", "VisibleKeyDoor",
@@ -156,7 +158,8 @@ class TestCompileMission:
                 "(F task(home, post=Home, pre=Cheese, gc=!Fire))")
         tree = compile_mission(parse_mission(text, GRID), CFG)
         dot = export_dot(tree)
-        assert dot.count("◇ task") == 2
+        # root, two Finally decorators and two precondition latches
+        assert dot.count("shape=diamond") == 5
         assert dot.count("◇ F") == 2
         assert "◇ root" in dot
 

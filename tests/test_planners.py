@@ -244,6 +244,13 @@ class TestEvaluatePolicy:
                                   seed=6)
         assert uniform["success_probability"] < planned["success_probability"]
 
+    def test_evaluation_leaves_the_policy_unwritten(self):
+        # an unseen cell samples uniform without gaining a row
+        cfg = gw.GridConfig(p_in=0.9)
+        policy = Policy()
+        evaluate_policy(build_c2h(cfg), cfg, policy, n_trials=5, seed=6)
+        assert policy.tables == {"C": {}, "H": {}}
+
     def test_policy_json_roundtrip(self):
         policy = plan_grid_policies(gw.GridConfig())
         back = Policy.from_json(policy.to_json())
