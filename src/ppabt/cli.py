@@ -115,13 +115,15 @@ def _write_json(data, out: str | None) -> None:
 
 SWEEP_FIELDS = ["cell", "r_other", "r_good", "r_fire", "p_in", "n_trials",
                 "seed", "success_probability", "mean_trace_len"]
+LEARN_SUMMARY_FIELDS = ["p_in", "run", "seed", "learning_success",
+                        "mean_learning_trace_len", "inference_success",
+                        "mean_inference_trace_len"]
+LEARN_CURVE_FIELDS = ["p_in", "run", "episode", "status", "trace_len", "seed"]
 
 
-def _write_csv(rows: list[dict], out: str | None,
-               fieldnames: list[str] | None = None) -> None:
-    header = fieldnames if fieldnames is not None else (list(rows[0]) if rows else [])
+def _write_csv(rows: list[dict], fieldnames: list[str], out: str | None) -> None:
     with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -188,7 +190,7 @@ def cmd_sweep(args) -> int:
             "success_probability": result["success_probability"],
             "mean_trace_len": result["mean_trace_len"],
         })
-    _write_csv(rows, args.out, fieldnames=SWEEP_FIELDS)
+    _write_csv(rows, SWEEP_FIELDS, args.out)
     return EXIT_OK
 
 
@@ -228,12 +230,12 @@ def cmd_learn(args) -> int:
                 "mean_inference_trace_len": infer["mean_trace_len"],
             })
     if args.out:
-        _write_csv(curves, args.out + ".curves.csv")
-        _write_csv(summary, args.out + ".summary.csv")
+        _write_csv(curves, LEARN_CURVE_FIELDS, args.out + ".curves.csv")
+        _write_csv(summary, LEARN_SUMMARY_FIELDS, args.out + ".summary.csv")
         if policy_out is not None:
             _write_json(policy_out.to_json(), args.out + ".policy.json")
     else:
-        _write_csv(summary, None)
+        _write_csv(summary, LEARN_SUMMARY_FIELDS, None)
     return EXIT_OK
 
 
@@ -257,6 +259,7 @@ def cmd_verify(args) -> int:
         violations = report.n_violations
         if violations and args.out:
             _write_csv(report.counterexamples_csv_rows(),
+                       ["counterexample", "tick", "state"],
                        args.out + ".counterexamples.csv")
     else:
         data = fuzz_corpus_report(args.missions, seed=args.seed,

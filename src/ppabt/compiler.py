@@ -1,13 +1,14 @@
 """Deterministic translation of mission expressions into behavior trees.
 
-One PPA task compiles to::
+One PPA task compiles to the flat template::
 
-    Selector( Parallel(gc, post),
-              Parallel( Parallel(gc, Latch(pre)),
-                        Sequence(tc, Sequence(Action, gc)) ) )
+    Selector( Parallel(gc?, post),
+              Parallel(gc?, Latch(pre)?, Sequence(tc?, Action, gc?)) )
 
-so the task succeeds either because the postcondition already holds
-under the global constraint, or because the plan runs (precondition
+where a ``?`` check is left out when its condition is the literal
+``True``, and a group of one node is that node.  Runs are those of the
+paper's nested template: the task succeeds because the postcondition
+holds under the global constraint, or because the plan runs (precondition
 latched, task constraint held) until the action's postcondition comes
 true, re-checking the global constraint after the action each tick.
 
@@ -20,9 +21,9 @@ scripted.  Tasks that share an action must share its postcondition:
 Mission operators map onto control nodes: or to selector, and to
 parallel, until to sequence (left subtree must succeed before the right
 is ticked), finally to a resetting decorator; the root tracks the
-mission time budget.  A task leaf compiles to its template's selector
-directly, with no wrapper node.  Trees carry no ids and tick as built:
-each run keeps its node memory in its ``MissionRunner``, keyed by node.
+mission time budget; a task leaf compiles to its template's selector.
+Trees carry no ids and tick as built: each run keeps its node memory in
+its ``MissionRunner``, keyed by node.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ from .bt import (
 
 def compile_task(spec: ms.PpaTaskSpec, cfg: ms.MissionConfig,
                  choose: Chooser | None = None) -> BtNode:
-    gc = lambda: Condition(spec.gc)
+    check = lambda prop: [] if prop == ltlf.TRUE else [Condition(prop)]
+    group = lambda control, nodes: nodes[0] if len(nodes) == 1 else control(nodes)
     action = ActionRunner(spec.action, spec.poc, cfg.t_task_max, choose)
     return Selector([
-        Parallel([gc(), Condition(spec.poc)]),
-        Parallel([
-            Parallel([gc(), PreconditionLatch(Condition(spec.prc))]),
-            Sequence([Condition(spec.tc), Sequence([action, gc()])]),
-        ]),
+        group(Parallel, [*check(spec.gc), Condition(spec.poc)]),
+        group(Parallel, [*check(spec.gc), *map(PreconditionLatch, check(spec.prc)),
+                         group(Sequence, [*check(spec.tc), action, *check(spec.gc)])]),
     ])
 
 

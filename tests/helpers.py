@@ -1,13 +1,17 @@
 """Shared test scaffolding: fuzzers, scripted environments, stub nodes,
-language enumeration, the action propositions of the printed goal
-formula and a mission outside the sound fragment."""
+the paper's nested task template, language enumeration, the action
+propositions of the printed goal formula and a mission outside the
+sound fragment."""
 
 import itertools
 import sys
 from contextlib import contextmanager
 
 from ppabt import ltlf, mission as ms
-from ppabt.bt import BtNode, Status
+from ppabt.bt import (
+    ActionRunner, BtNode, Condition, Parallel, PreconditionLatch, Selector,
+    Sequence, Status,
+)
 from ppabt.mission import Task, ppa_task
 from ppabt.verify import _guard
 
@@ -82,6 +86,21 @@ class StubNode(BtNode):
         status = self.statuses[min(self.ticks, len(self.statuses) - 1)]
         self.ticks += 1
         return status
+
+
+def paper_task_tree(spec, cfg, choose=None):
+    """The paper's 14-node task template, with every check kept and nested
+    as drawn: the reference whose runs ``compiler.compile_task``'s flat
+    trees must repeat."""
+    gc = lambda: Condition(spec.gc)
+    action = ActionRunner(spec.action, spec.poc, cfg.t_task_max, choose)
+    return Selector([
+        Parallel([gc(), Condition(spec.poc)]),
+        Parallel([
+            Parallel([gc(), PreconditionLatch(Condition(spec.prc))]),
+            Sequence([Condition(spec.tc), Sequence([action, gc()])]),
+        ]),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,17 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def spans():
+def perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("spans")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return perfbench_module("spans")
 
 
 def test_every_patched_name_resolves(spans):
@@ -66,7 +70,7 @@ def test_node_ticks_of_a_seeded_episode(spans):
 
     cfg = GridConfig(p_in=0.8)
     runtime = C2hRuntime(build_c2h(cfg), cfg, Policy(), 50)
-    assert spans.count_node_ticks(lambda: runtime.run_episode(7)) == (607, 40)
+    assert spans.count_node_ticks(lambda: runtime.run_episode(7)) == (458, 40)
 
 
 def test_node_ticks_of_a_reset_keydoor_trial(spans):
@@ -76,4 +80,30 @@ def test_node_ticks_of_a_reset_keydoor_trial(spans):
 
     script = ScenarioScript(perturbation=Perturbation("door"))
     assert run_bt_trial(script)["resets"] == 1
-    assert spans.count_node_ticks(lambda: run_bt_trial(script)) == (204, 12)
+    assert spans.count_node_ticks(lambda: run_bt_trial(script)) == (183, 12)
+
+
+def test_tree_sizes_of_the_compiled_workloads():
+    """Pins ``compiler.tree_nodes`` with no clock: the traced run averages
+    it over the ops that fit in its time, so its mean alone moves with the
+    host.  The verify pool is built as ``verify_pool`` builds it, each
+    mission followed by its theta draw."""
+    from random import Random
+
+    from ppabt.bt import node_count
+    from ppabt.compiler import compile_mission
+    from ppabt.mission import MissionConfig
+    from ppabt.missions import build_c2h, build_keydoor
+    from ppabt.verify import random_sound_mission
+
+    workloads = perfbench_module("workloads")
+    rng = Random(0)
+    total = 0
+    for _ in range(workloads.VERIFY_POOL):
+        expr = random_sound_mission(rng, list(workloads.VERIFY_ATOMS))
+        cfg = MissionConfig(t_task_max=workloads.VERIFY_BOUND, theta=rng.choice([0, 1, 2]))
+        total += node_count(compile_mission(expr, cfg))
+    assert total == 2965
+    cfg = MissionConfig(t_task_max=50, theta=1)
+    assert node_count(compile_mission(build_c2h(), cfg)) == 24
+    assert node_count(compile_mission(build_keydoor(), cfg)) == 42

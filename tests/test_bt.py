@@ -359,7 +359,7 @@ class TestSerialization:
         dot = export_dot(tree)
         assert dot.count("?") >= 1          # root selector
         assert dot.count("□") == 1     # one action node
-        assert dot.count("◯") == 6     # 3 gc checks + post + pre + tc
+        assert dot.count("◯") == 4     # 3 gc checks + post; pre and tc are True
         assert dot.count("->") == node_count(tree) - 1
 
     def test_json_carries_structure_and_preorder_ids(self):
@@ -405,7 +405,7 @@ class TestResetCounts:
 
     def test_restore_brings_counters_back_on_every_branch(self):
         # check_inclusion's pattern: one snapshot, restored once per branch
-        tree = scripted_task_tree(theta=1)
+        tree = scripted_task_tree(theta=1, pre="!Home")
         runner = MissionRunner(tree)
         assert runner.tick_once({"Cheese": False, "Fire": False, "Home": False}) is RUNNING
         latched = set(runner.latched)  # the task's precondition latch

@@ -142,6 +142,20 @@ class TestLearnInfer:
         assert len(summary) == 2
         assert {row["run"] for row in summary} == {"0", "1"}
 
+    def test_zero_runs_print_the_summary_header_alone(self, capsys):
+        assert main(["learn", "--runs", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "p_in,run,seed,learning_success,mean_learning_trace_len,"
+            "inference_success,mean_inference_trace_len\r\n")
+
+    def test_zero_episodes_write_the_curve_header_alone(self, tmp_path):
+        prefix = str(tmp_path / "run")
+        assert main(["learn", "--p-in", "0.9", "--runs", "1", "--episodes", "0",
+                     "--trials", "2", "--out", prefix]) == EXIT_OK
+        assert (tmp_path / "run.curves.csv").read_bytes() == \
+            b"p_in,run,episode,status,trace_len,seed\r\n"
+        assert len(read_csv(prefix + ".summary.csv")) == 1
+
     def test_infer_from_stored_policy(self, tmp_path, capsys):
         prefix = str(tmp_path / "run")
         main(["learn", "--p-in", "1.0", "--runs", "1", "--episodes", "60",

@@ -4,21 +4,23 @@ import re
 
 import pytest
 
-from helpers import derive_mission_text
-from ppabt import ltlf
+from helpers import derive_mission_text, paper_task_tree
+from ppabt import compiler, ltlf
 from ppabt.bt import (
-    ActionRunner, Condition, FinallyReset, MissionRoot, MissionRunner, Parallel,
-    PreconditionLatch, SUCCESS, Selector, Sequence, bt_to_json,
+    ActionRunner, Condition, ControlNode, FinallyReset, MissionRoot, MissionRunner,
+    Parallel, PreconditionLatch, SUCCESS, Selector, Sequence, bt_to_json,
     export_dot, iter_nodes, node_count,
 )
 from ppabt.compiler import bind_scripted, compile_mission, compile_task, inline_actions
 from ppabt.gridworld import GridConfig
-from ppabt.keydoor import _bt_mission
+from ppabt.keydoor import _bt_mission, run_experiment
 from ppabt.missions import KEYDOOR_ATOMS, build_c2h, build_keydoor
 from ppabt.mission import (
-    MissionConfig, MissionError, expand_mission, parse_mission, ppa_task, tasks_of,
+    MissionConfig, MissionError, expand_mission, parse_mission, ppa_task,
+    render_mission, tasks_of,
 )
 from ppabt.planners import C2hRuntime, Policy
+from ppabt.verify import FUZZ_ATOMS, check_inclusion, check_mission, random_sound_mission
 
 GRID = {"Cheese", "Fire", "Home"}
 CFG = MissionConfig(t_task_max=50, theta=1, alphabet=frozenset(GRID))
@@ -35,7 +37,8 @@ def mission_size(expr):
 
 class TestCompileTask:
     def test_template_structure(self):
-        spec = ppa_task("cheese", post="Cheese", gc="!Fire", alphabet=GRID)
+        spec = ppa_task("cheese", post="Cheese", pre="!Home", gc="!Fire", tc="!Home",
+                        alphabet=GRID)
         tree = compile_task(spec, CFG)
         assert isinstance(tree, Selector)
         post_branch, act_branch = tree.children
@@ -44,29 +47,40 @@ class TestCompileTask:
         assert isinstance(gc_node, Condition) and gc_node.prop == spec.gc
         assert isinstance(poc_node, Condition) and poc_node.prop == spec.poc
         assert isinstance(act_branch, Parallel)
-        guard, until = act_branch.children
-        assert isinstance(guard, Parallel)
-        assert isinstance(guard.children[0], Condition)
-        assert isinstance(guard.children[1], PreconditionLatch)
-        assert guard.children[1].child.prop == spec.prc
+        gc_node, latch, until = act_branch.children
+        assert isinstance(gc_node, Condition) and gc_node.prop == spec.gc
+        assert isinstance(latch, PreconditionLatch) and latch.child.prop == spec.prc
         assert isinstance(until, Sequence)
-        tc_node, act_seq = until.children
+        tc_node, action, gc_node = until.children
         assert isinstance(tc_node, Condition) and tc_node.prop == spec.tc
-        assert isinstance(act_seq, Sequence)
-        action = act_seq.children[0]
         assert isinstance(action, ActionRunner)
         assert action.binding == spec.action
         assert action.postcondition == spec.poc
         assert action.t_task_max == CFG.t_task_max
         assert action.choose is None
-        assert isinstance(act_seq.children[1], Condition)
-        assert act_seq.children[1].prop == spec.gc
+        assert isinstance(gc_node, Condition) and gc_node.prop == spec.gc
+        assert node_count(tree) == 12  # the paper's nesting has 14
+
+    def test_true_checks_are_left_out(self):
+        # every check but the postcondition is True: a selector over two leaves
+        spec = ppa_task("cheese", post="Cheese", alphabet=GRID)
+        post, action = compile_task(spec, CFG).children
+        assert isinstance(post, Condition) and post.prop == spec.poc
+        assert isinstance(action, ActionRunner)
+        # a global constraint alone: no latch and no task-constraint check
+        spec = ppa_task("cheese", post="Cheese", gc="!Fire", alphabet=GRID)
+        tree = compile_task(spec, CFG)
+        assert [n.kind for n in iter_nodes(tree)] == [
+            "selector", "parallel", "condition", "condition",
+            "parallel", "condition", "sequence", "action", "condition"]
 
     def test_task_constraint_is_left_until_child(self):
         spec = ppa_task("key", post="Cheese", tc="Home", alphabet=GRID)
         tree = compile_task(spec, CFG)
-        until = tree.children[1].children[1]
+        until = tree.children[1]
+        assert isinstance(until, Sequence)
         assert until.children[0].prop == ltlf.Atom("Home")
+        assert isinstance(until.children[1], ActionRunner)
 
 
 class TestCompileMission:
@@ -90,7 +104,7 @@ class TestCompileMission:
         # each Finally holds its task's template directly
         assert isinstance(left.child, Selector)
         assert isinstance(right.child, Selector)
-        assert node_count(tree) == 32
+        assert node_count(tree) == 24
 
     def test_keydoor_nested_untils(self):
         kd = {"NoErr", "KeyStacked", "IsKeyDoor", "VisibleKeyDoor",
@@ -158,8 +172,9 @@ class TestCompileMission:
                 "(F task(home, post=Home, pre=Cheese, gc=!Fire))")
         tree = compile_mission(parse_mission(text, GRID), CFG)
         dot = export_dot(tree)
-        # root, two Finally decorators and two precondition latches
-        assert dot.count("shape=diamond") == 5
+        # root, two Finally decorators and home's precondition latch
+        # (cheese's precondition is True, so it has no latch)
+        assert dot.count("shape=diamond") == 4
         assert dot.count("◇ F") == 2
         assert "◇ root" in dot
 
@@ -238,3 +253,75 @@ class TestInlineActions:
         assert runs.left is raw.right.left and runs.left.left is g_gc
         assert runs.right.right.right is g_gc
         assert runs.right.right.left is tasks_of(expr)[0].poc
+
+
+def fuzz_corpus():
+    """``(mission, theta)`` of the ``ppabt verify --missions 200 --seed 0``
+    corpus, each mission followed by its theta draw."""
+    rng = random.Random(0)
+    for _ in range(200):
+        expr = random_sound_mission(rng, list(FUZZ_ATOMS))
+        yield expr, rng.choice([0, 1, 2])
+
+
+@pytest.fixture
+def paper(monkeypatch):
+    """``paper(fn)`` is ``fn()`` with every task compiled to the paper's
+    nested template."""
+    def call(fn):
+        with monkeypatch.context() as patch:
+            patch.setattr(compiler, "compile_task", paper_task_tree)
+            return fn()
+    return call
+
+
+class TestFlatTemplateRunsAsThePapers:
+    """``compile_task`` leaves out True checks and the template's nesting;
+    every run must be the one the paper's nested template gives."""
+
+    def test_corpus_inclusion_reports(self, paper):
+        # t_task_max 2 makes the action and root budgets fire within bound 4
+        for expr, theta in fuzz_corpus():
+            formula = expand_mission(expr)
+            for t_task_max in (4, 2):
+                cfg = MissionConfig(t_task_max=t_task_max, theta=theta)
+                report = lambda: check_inclusion(
+                    compile_mission(expr, cfg), formula, set(FUZZ_ATOMS), 4).to_json()
+                assert report() == paper(report), (render_mission(expr), t_task_max)
+
+    def test_c2h_inclusion_report(self, paper):
+        report = lambda: check_mission(build_c2h(), GRID, bound=4).to_json()
+        assert report() == paper(report)
+        assert paper(lambda: node_count(compile_mission(build_c2h(), CFG))) == 32
+
+    def test_c2h_episodes(self, paper):
+        grid = GridConfig(p_in=0.8)
+
+        def episodes():
+            runtime = C2hRuntime(build_c2h(grid), grid, Policy(), 50)
+            return [runtime.run_episode(seed) for seed in range(100)]
+
+        assert episodes() == paper(episodes)
+
+    def test_keydoor_experiments(self, paper):
+        def experiments():
+            _bt_mission.cache_clear()
+            return [run_experiment("bt", reversible=r) for r in (True, False)]
+
+        try:
+            assert experiments() == paper(experiments)
+        finally:
+            _bt_mission.cache_clear()
+
+    def test_no_true_check_and_no_one_child_or_nested_control_node(self):
+        trees = [compile_mission(expr, MissionConfig(4, theta))
+                 for expr, theta in fuzz_corpus()]
+        trees += [compile_mission(build_c2h(), CFG), _bt_mission(1, 60)[0]]
+        for node in (n for tree in trees for n in iter_nodes(tree)):
+            assert not (isinstance(node, Condition) and node.prop == ltlf.TRUE)
+            assert not (isinstance(node, ControlNode) and len(node.children) == 1)
+        specs = [spec for expr, _ in fuzz_corpus() for spec in tasks_of(expr)]
+        for spec in specs + tasks_of(build_c2h()) + tasks_of(build_keydoor()):
+            for node in iter_nodes(compile_task(spec, CFG)):
+                assert not any(type(child) is type(node) for child in node.children
+                               if isinstance(node, ControlNode))
