@@ -18,9 +18,10 @@ from . import gridworld as gw
 from .bt import bt_to_json, export_dot
 from .compiler import compile_mission
 from .keydoor import run_experiment
-from .ltlf import LtlfError, format_formula, formula_to_json, tokenize
+from .ltlf import RESERVED_WORDS, LtlfError, format_formula, formula_to_json, tokenize
 from .mission import (
-    MissionConfig, MissionError, TASK_FIELDS, expand_mission, parse_mission,
+    ACTION_PREFIX, MissionConfig, MissionError, TASK_FIELDS, expand_mission,
+    parse_mission,
 )
 from .missions import C2H_TEXT, build_c2h
 from .planners import (
@@ -96,10 +97,26 @@ def infer_alphabet(text: str) -> set[str]:
             if tok.kind == "word" and tok.text not in _KEYWORDS}
 
 
+def _check_atom_name(name: str) -> None:
+    """A declared name that no condition can read as an atom would only
+    multiply the streams ``verify`` enumerates."""
+    if not (name.isascii() and name.isidentifier()):
+        why = "is not a single identifier"
+    elif name in {"True", "False"} | RESERVED_WORDS:
+        why = "is a constant or a temporal operator"
+    elif name.startswith(ACTION_PREFIX):
+        why = "is reserved for action tracking"
+    else:
+        return
+    raise MissionError(f"--alphabet name {name!r} {why}, never an atom")
+
+
 def _load_mission(args):
     text = Path(args.mission).read_text() if args.mission else C2H_TEXT
     if args.alphabet is not None:
         alphabet = {name for name in args.alphabet.split(",") if name}
+        for name in sorted(alphabet):
+            _check_atom_name(name)
     else:
         alphabet = infer_alphabet(text)
     return parse_mission(text, alphabet), alphabet

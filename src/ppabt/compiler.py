@@ -3,14 +3,14 @@
 One PPA task compiles to the flat template::
 
     Selector( Parallel(gc?, post),
-              Parallel(gc?, Latch(pre)?, Sequence(tc?, Action, gc?)) )
+              Parallel(gc?, Latch(pre)?, Sequence(tc?, Action)) )
 
 where a ``?`` check is left out when its condition is the literal
 ``True``, and a group of one node is that node.  Runs are those of the
-paper's nested template: the task succeeds because the postcondition
-holds under the global constraint, or because the plan runs (precondition
-latched, task constraint held) until the action's postcondition comes
-true, re-checking the global constraint after the action each tick.
+paper's nested template (its ``gc`` check after the action never decides
+a run: the parallel checks ``gc`` on the same state in the same tick).
+The task succeeds as the postcondition holds under the global constraint
+or as the plan runs (precondition latched, task constraint held).
 
 Each action node is built whole, with its task's postcondition, the
 mission's ``t_task_max`` and its chooser from the ``choose`` map (action
@@ -43,7 +43,7 @@ def compile_task(spec: ms.PpaTaskSpec, cfg: ms.MissionConfig,
     return Selector([
         group(Parallel, [*check(spec.gc), Condition(spec.poc)]),
         group(Parallel, [*check(spec.gc), *map(PreconditionLatch, check(spec.prc)),
-                         group(Sequence, [*check(spec.tc), action, *check(spec.gc)])]),
+                         group(Sequence, [*check(spec.tc), action])]),
     ])
 
 

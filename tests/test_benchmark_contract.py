@@ -70,7 +70,7 @@ def test_node_ticks_of_a_seeded_episode(spans):
 
     cfg = GridConfig(p_in=0.8)
     runtime = C2hRuntime(build_c2h(cfg), cfg, Policy(), 50)
-    assert spans.count_node_ticks(lambda: runtime.run_episode(7)) == (458, 40)
+    assert spans.count_node_ticks(lambda: runtime.run_episode(7)) == (419, 40)
 
 
 def test_node_ticks_of_a_reset_keydoor_trial(spans):
@@ -103,7 +103,7 @@ def test_tree_sizes_of_the_compiled_workloads():
         expr = random_sound_mission(rng, list(workloads.VERIFY_ATOMS))
         cfg = MissionConfig(t_task_max=workloads.VERIFY_BOUND, theta=rng.choice([0, 1, 2]))
         total += node_count(compile_mission(expr, cfg))
-    assert total == 2965
+    assert total == 2738
     cfg = MissionConfig(t_task_max=50, theta=1)
-    assert node_count(compile_mission(build_c2h(), cfg)) == 24
-    assert node_count(compile_mission(build_keydoor(), cfg)) == 42
+    assert node_count(compile_mission(build_c2h(), cfg)) == 20
+    assert node_count(compile_mission(build_keydoor(), cfg)) == 39

@@ -359,7 +359,7 @@ class TestSerialization:
         dot = export_dot(tree)
         assert dot.count("?") >= 1          # root selector
         assert dot.count("□") == 1     # one action node
-        assert dot.count("◯") == 4     # 3 gc checks + post; pre and tc are True
+        assert dot.count("◯") == 3     # 2 gc checks + post; pre and tc are True
         assert dot.count("->") == node_count(tree) - 1
 
     def test_json_carries_structure_and_preorder_ids(self):

@@ -65,14 +65,22 @@ class TestParseCompile:
         assert main(["parse", "--mission", str(path)]) == EXIT_USAGE
         assert_single_error_line(capsys, "reserved")
 
-    # An explicit alphabet is used as given, even when empty.  The
-    # reserved prefix is checked on the task, once the alphabet has
-    # admitted the atom.
+    # An explicit alphabet is used as given, even when empty, minus empty
+    # names.  A name no condition can read as an atom (not one identifier,
+    # a constant, a temporal operator or the reserved action prefix) is an
+    # error: as an atom it would only multiply the streams verify counts.
     @pytest.mark.parametrize("text, alphabet, fragment", [
         (None, "", "not in the declared alphabet"),
         ("task(t, post=__action_x)", "a", "not in the declared alphabet"),
         ("task(t, post=__action_x)", "a,,__action_x", "reserved"),
-    ], ids=["c2h_empty", "reserved_not_declared", "reserved_declared"])
+        (None, "Cheese,Fire,Home,True", "'True' is a constant"),
+        (None, "Cheese,Fire,Home,False", "'False' is a constant"),
+        (None, "Cheese,Fire,Home,U", "'U' is a constant or a temporal operator"),
+        (None, "Cheese,Fire,Home,F", "'F' is a constant or a temporal operator"),
+        (None, "Cheese,Fire,Home,__action_cheese", "'__action_cheese' is reserved"),
+        (None, "Cheese,Fire,Home,a b", "'a b' is not a single identifier"),
+    ], ids=["c2h_empty", "reserved_not_declared", "reserved_declared", "true",
+            "false", "until", "finally", "action_prefix", "two_words"])
     def test_explicit_alphabet_is_honoured(self, tmp_path, capsys, text, alphabet,
                                            fragment):
         path = "missions/c2h.mission"
@@ -82,6 +90,13 @@ class TestParseCompile:
         assert main(["parse", "--mission", str(path),
                      "--alphabet", alphabet]) == EXIT_USAGE
         assert_single_error_line(capsys, fragment)
+
+    def test_task_and_field_names_may_be_declared_atoms(self, tmp_path, capsys):
+        path = tmp_path / "m.mission"
+        path.write_text("task(t, post=post & task, gc=action)\n")
+        assert main(["parse", "--mission", str(path),
+                     "--alphabet", "post,task,action"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["alphabet"] == ["action", "post", "task"]
 
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -51,15 +51,14 @@ class TestCompileTask:
         assert isinstance(gc_node, Condition) and gc_node.prop == spec.gc
         assert isinstance(latch, PreconditionLatch) and latch.child.prop == spec.prc
         assert isinstance(until, Sequence)
-        tc_node, action, gc_node = until.children
+        tc_node, action = until.children
         assert isinstance(tc_node, Condition) and tc_node.prop == spec.tc
         assert isinstance(action, ActionRunner)
         assert action.binding == spec.action
         assert action.postcondition == spec.poc
         assert action.t_task_max == CFG.t_task_max
         assert action.choose is None
-        assert isinstance(gc_node, Condition) and gc_node.prop == spec.gc
-        assert node_count(tree) == 12  # the paper's nesting has 14
+        assert node_count(tree) == 11  # the paper's nesting has 14
 
     def test_true_checks_are_left_out(self):
         # every check but the postcondition is True: a selector over two leaves
@@ -67,12 +66,13 @@ class TestCompileTask:
         post, action = compile_task(spec, CFG).children
         assert isinstance(post, Condition) and post.prop == spec.poc
         assert isinstance(action, ActionRunner)
-        # a global constraint alone: no latch and no task-constraint check
+        # a global constraint alone: no latch, no task-constraint check, and
+        # so no sequence: the action sits beside the gc check
         spec = ppa_task("cheese", post="Cheese", gc="!Fire", alphabet=GRID)
         tree = compile_task(spec, CFG)
         assert [n.kind for n in iter_nodes(tree)] == [
             "selector", "parallel", "condition", "condition",
-            "parallel", "condition", "sequence", "action", "condition"]
+            "parallel", "condition", "action"]
 
     def test_task_constraint_is_left_until_child(self):
         spec = ppa_task("key", post="Cheese", tc="Home", alphabet=GRID)
@@ -104,7 +104,7 @@ class TestCompileMission:
         # each Finally holds its task's template directly
         assert isinstance(left.child, Selector)
         assert isinstance(right.child, Selector)
-        assert node_count(tree) == 24
+        assert node_count(tree) == 20
 
     def test_keydoor_nested_untils(self):
         kd = {"NoErr", "KeyStacked", "IsKeyDoor", "VisibleKeyDoor",
@@ -264,6 +264,25 @@ def fuzz_corpus():
         yield expr, rng.choice([0, 1, 2])
 
 
+# gc (c) breaks while t1's post (a) holds: the paper's template still ticks
+# t1's latch on pre (b) then, and a template with one gc check per task does
+# not.  Few fuzzed missions show this, so the corpus comparison adds it.
+GC_BREAKS_UNDER_POST = ("| (F task(t1, post=a, pre=b, gc=c, action=t1)) "
+                        "(F task(t2, post=!a & !b & c, action=t2))")
+
+
+def hoisted_gc_task_tree(spec, cfg, choose=None):
+    """``all(gc?, Selector(post, all(latch(pre)?, seq(tc?, action))))``: one
+    gc check per task, which stops the latch ticking while gc is broken and
+    post holds."""
+    check = lambda prop: [] if prop == ltlf.TRUE else [Condition(prop)]
+    group = lambda control, nodes: nodes[0] if len(nodes) == 1 else control(nodes)
+    action = ActionRunner(spec.action, spec.poc, cfg.t_task_max, choose)
+    plan = group(Parallel, [*map(PreconditionLatch, check(spec.prc)),
+                            group(Sequence, [*check(spec.tc), action])])
+    return group(Parallel, [*check(spec.gc), Selector([Condition(spec.poc), plan])])
+
+
 @pytest.fixture
 def paper(monkeypatch):
     """``paper(fn)`` is ``fn()`` with every task compiled to the paper's
@@ -276,18 +295,33 @@ def paper(monkeypatch):
 
 
 class TestFlatTemplateRunsAsThePapers:
-    """``compile_task`` leaves out True checks and the template's nesting;
-    every run must be the one the paper's nested template gives."""
+    """``compile_task`` leaves out True checks, the template's nesting and
+    its gc check after the action; every run must be the one the paper's
+    nested template gives."""
 
     def test_corpus_inclusion_reports(self, paper):
         # t_task_max 2 makes the action and root budgets fire within bound 4
-        for expr, theta in fuzz_corpus():
+        extra = (parse_mission(GC_BREAKS_UNDER_POST, set(FUZZ_ATOMS)), 0)
+        for expr, theta in [*fuzz_corpus(), extra]:
             formula = expand_mission(expr)
             for t_task_max in (4, 2):
                 cfg = MissionConfig(t_task_max=t_task_max, theta=theta)
                 report = lambda: check_inclusion(
                     compile_mission(expr, cfg), formula, set(FUZZ_ATOMS), 4).to_json()
                 assert report() == paper(report), (render_mission(expr), t_task_max)
+
+    def test_hoisting_gc_changes_a_report(self, monkeypatch):
+        # the corpus comparison must be able to tell this template apart
+        expr = parse_mission(GC_BREAKS_UNDER_POST, set(FUZZ_ATOMS))
+        formula = expand_mission(expr)
+
+        def successes(t_task_max):
+            tree = compile_mission(expr, MissionConfig(t_task_max=t_task_max, theta=0))
+            return check_inclusion(tree, formula, set(FUZZ_ATOMS), 4).n_bt_success_traces
+
+        flat = [successes(4), successes(2)]
+        monkeypatch.setattr(compiler, "compile_task", hoisted_gc_task_tree)
+        assert (flat, [successes(4), successes(2)]) == ([411, 99], [412, 97])
 
     def test_c2h_inclusion_report(self, paper):
         report = lambda: check_mission(build_c2h(), GRID, bound=4).to_json()

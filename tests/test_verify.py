@@ -157,7 +157,7 @@ class TestCheckInclusion:
         cfg = MissionConfig(t_task_max=4, theta=0, alphabet=frozenset(ABC))
         tree = bind_scripted(compile_mission(expr, cfg), expr, cfg)
         gc = expr.spec.gc
-        assert strip_conditions(tree, gc) == 3
+        assert strip_conditions(tree, gc) == 2
         report = check_inclusion(tree, expand_mission(expr), ABC, bound=4)
         assert report.n_violations >= 1
         # each counterexample is a real one per the reference evaluator
