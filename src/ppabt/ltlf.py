@@ -264,6 +264,124 @@ def _bits(f: Formula, trace: Trace, full: int, memo: dict) -> int:
     return bits
 
 
+class Progression:
+    """Formula progression (Bacchus & Kabanza, AIJ 2000): the obligation a
+    trace prefix leaves on the rest of a trace that goes on past it.
+
+    For every non-empty suffix ``w``, prefix + ``w`` satisfies the formula
+    exactly when ``w`` satisfies the prefix's residual, so two prefixes
+    that reach one residual cannot be told apart by any continuation.
+    This makes a residual a sound merge key; verdicts still come from
+    ``evaluate``.
+
+    The formula is put in negation normal form, with the weak next ``N``
+    (true at the last state) dual to ``X`` and release ``R`` dual to
+    ``U``.  Nodes are hash-consed to ints: a literal, a temporal operator
+    over node ids, or an n-ary ``and``/``or`` whose operands are folded
+    against the constants, flattened and deduplicated.  A residual is such
+    a node.  ``step`` is memoized on the residual and the values of the
+    formula's atoms, and recursion follows the node's depth.
+    """
+
+    TRUE, FALSE = 0, 1
+
+    def __init__(self, formula: Formula):
+        self.atoms = tuple(sorted(atoms_of(formula) - {"True", "False"}))
+        self._ids: dict[tuple, int] = {}
+        self._nodes: list[tuple] = []
+        self._memo: dict[tuple[int, tuple[bool, ...]], int] = {}
+        self._node("true")
+        self._node("false")
+        index = {name: i for i, name in enumerate(self.atoms)}
+        self.start = self._nnf(formula, True, index, {})
+
+    def _node(self, *node) -> int:
+        n = self._ids.get(node)
+        if n is None:
+            n = self._ids[node] = len(self._nodes)
+            self._nodes.append(node)
+        return n
+
+    def _junction(self, op: str, parts) -> int:
+        """``and``/``or`` over node ids, with constants folded, nested nodes
+        of the same op flattened into this one and duplicates dropped."""
+        unit, zero = (self.TRUE, self.FALSE) if op == "and" else (self.FALSE, self.TRUE)
+        operands = set()
+        for n in parts:
+            if n == zero:
+                return zero
+            node = self._nodes[n]
+            if node[0] == op:
+                operands.update(node[1:])
+            elif n != unit:
+                operands.add(n)
+        if len(operands) <= 1:
+            return operands.pop() if operands else unit
+        return self._node(op, *sorted(operands))
+
+    # each operator's NNF op, and the op its negation takes
+    _OPS = {And: ("and", "or"), Or: ("or", "and"), Next: ("X", "N"),
+            Finally: ("F", "G"), Globally: ("G", "F"), Until: ("U", "R")}
+
+    def _nnf(self, f: Formula, positive: bool, index: dict[str, int], memo: dict) -> int:
+        key = (id(f), positive)
+        n = memo.get(key)
+        if n is not None:
+            return n
+        cls = type(f)
+        if cls is Not:
+            n = self._nnf(f.child, not positive, index, memo)
+        elif cls is Atom:
+            if f.name in ("True", "False"):
+                n = self.TRUE if (f.name == "True") == positive else self.FALSE
+            else:
+                n = self._node("lit", index[f.name], positive)
+        elif cls in self._OPS:
+            op = self._OPS[cls][0 if positive else 1]
+            args = [self._nnf(arg, positive, index, memo) for arg in f.args]
+            n = self._junction(op, args) if op in ("and", "or") else self._node(op, *args)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[key] = n
+        return n
+
+    def step(self, residual: int, state: StateVector) -> int:
+        """The residual after one more state, which the trace goes on past."""
+        try:
+            values = tuple([state[name] for name in self.atoms])
+        except KeyError as missing:
+            raise UnknownAtom(missing.args[0]) from None
+        return self._step(residual, values)
+
+    def _step(self, n: int, values: tuple[bool, ...]) -> int:
+        key = (n, values)
+        result = self._memo.get(key)
+        if result is not None:
+            return result
+        node = self._nodes[n]
+        op = node[0]
+        if op in ("true", "false"):
+            result = n
+        elif op == "lit":
+            result = self.TRUE if values[node[1]] == node[2] else self.FALSE
+        elif op in ("X", "N"):
+            result = node[1]
+        else:
+            now = [self._step(arg, values) for arg in node[1:]]
+            if op in ("and", "or"):
+                result = self._junction(op, now)
+            elif op == "F":
+                result = self._junction("or", [now[0], n])
+            elif op == "G":
+                result = self._junction("and", [now[0], n])
+            elif op == "U":
+                result = self._junction("or", [now[1], self._junction("and", [now[0], n])])
+            else:  # R
+                result = self._junction("and", [now[1], self._junction("or", [now[0], n])])
+        self._memo[key] = result
+        return result
+
+
 def compile_prop(formula: Formula) -> Callable[[StateVector], bool]:
     """Build a closure evaluating a propositional formula on a state dict."""
     if isinstance(formula, Atom):

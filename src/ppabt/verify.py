@@ -5,7 +5,12 @@ recorded trace satisfies the mission's goal formula.  ``check_inclusion``
 drives a tree through every proposition stream up to a length bound
 (actions replaced by scripted proposition evolution) and audits every
 successful run, each reserved action proposition read as its task's
-postcondition.
+postcondition.  It is bounded model checking (Biere et al., TACAS 1999)
+with formula progression in place of an automaton: one layer per tick,
+where the streams that reach the same tree memory and formula residual
+are merged and counted by multiplicity, so each class ticks once per
+valuation and audits one witness.  The counts are those of ticking and
+auditing every stream on its own.
 
 ``evaluate_reference`` is a second, deliberately naive evaluator written
 straight from the satisfaction relation with explicit quantifier loops
@@ -46,6 +51,12 @@ FUZZ_ATOMS = ("a", "b", "c")
 
 class BoundTooLarge(Exception):
     pass
+
+
+class UnscriptedAction(Exception):
+    """An action node with a ``choose`` was given to ``check_inclusion``,
+    whose merging of streams assumes every tick reads only the tree's
+    memory, ``t`` and the state."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,34 +145,52 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
     stand in for the world.  The reserved action propositions of
     ``formula`` are inlined from the nodes' postconditions, not
     enumerated.  Every Success outcome's trace must satisfy the formula.
+
+    The search runs one layer per tick.  A layer maps each key
+    ``(latched, resets, residual)`` its streams reach to their number, a
+    snapshot of the runner and the first of them found, the witness.  A
+    scripted tree's tick reads only its memory, ``t`` (the layer) and
+    the state, and the residual settles the verdict of every
+    continuation; so the streams of one key tick alike and their audits
+    agree.  Counterexamples come out shortest first, one per class.
     """
     names = _guard(alphabet, bound)
+    if any(isinstance(node, bt.ActionRunner) and node.choose
+           for node in bt.iter_nodes(tree)):
+        raise UnscriptedAction("check_inclusion needs a tree whose action nodes are scripted")
     formula = inline_actions(formula, tree)
     valuations = [dict(zip(names, row))
                   for row in itertools.product((False, True), repeat=len(names))]
     report = InclusionReport(bound=bound, alphabet_size=len(names))
     runner = bt.MissionRunner(tree)
     trace_alpha = frozenset(names)
-
-    def visit(depth: int) -> None:
-        # every valuation ticks from the same pre-tick state; restore
-        # copies the snapshot's memory, so one snapshot serves them all
-        snap = runner.snapshot()
-        for valuation in valuations:
-            status = runner.tick_once(valuation)
-            if status is bt.SUCCESS:
-                report.n_bt_success_traces += 1
-                # the valuations are shared by every stream and only read
-                states = list(runner.trace_states)
-                if not evaluate(formula, Trace(states, trace_alpha), 0):
-                    report.n_violations += 1
-                    if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
-                        report.counterexamples.append(states)
-            elif status is bt.RUNNING and depth + 1 < bound:
-                visit(depth + 1)
-            runner.restore(snap)
-
-    visit(0)
+    progression = ltlf.Progression(formula)
+    layer = {(frozenset(), frozenset(), progression.start): [1, runner.snapshot(), ()]}
+    for depth in range(bound):
+        following = {}
+        for (_, _, residual), (count, snap, prefix) in layer.items():
+            for valuation in valuations:
+                runner.restore(snap)
+                status = runner.tick_once(valuation)
+                if status is bt.SUCCESS:
+                    report.n_bt_success_traces += count
+                    # the runner's trace may hold another stream's states
+                    # after a restore; the valuations are shared, only read
+                    states = [*prefix, valuation]
+                    if not evaluate(formula, Trace(states, trace_alpha), 0):
+                        report.n_violations += count
+                        if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
+                            report.counterexamples.append(states)
+                elif status is bt.RUNNING and depth + 1 < bound:
+                    after = progression.step(residual, valuation)
+                    key = (frozenset(runner.latched),
+                           frozenset(runner.resets.items()), after)
+                    entry = following.get(key)
+                    if entry is None:
+                        following[key] = [count, runner.snapshot(), (*prefix, valuation)]
+                    else:
+                        entry[0] += count
+        layer = following
     return report
 
 

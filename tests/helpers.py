@@ -1,19 +1,21 @@
 """Shared test scaffolding: fuzzers, scripted environments, stub nodes,
 the paper's nested task template, language enumeration, the action
-propositions of the printed goal formula and a mission outside the
-sound fragment."""
+propositions of the printed goal formula, a mission outside the sound
+fragment and the stream checker that ``verify.check_inclusion`` must
+agree with."""
 
 import itertools
 import sys
 from contextlib import contextmanager
 
-from ppabt import ltlf, mission as ms
+from ppabt import bt, ltlf, mission as ms
 from ppabt.bt import (
     ActionRunner, BtNode, Condition, Parallel, PreconditionLatch, Selector,
     Sequence, Status,
 )
+from ppabt.compiler import inline_actions
 from ppabt.mission import Task, ppa_task
-from ppabt.verify import _guard
+from ppabt.verify import MAX_COUNTEREXAMPLES, InclusionReport, _guard
 
 
 def trace_of(alphabet, *rows):
@@ -199,3 +201,39 @@ def counterexample_mission(atoms):
         name="right", poc=ltlf.Atom(c), prc=ltlf.TRUE, gc=ltlf.TRUE,
         tc=ltlf.Atom(a), action="right"))
     return ms.Or(left, right)
+
+
+# ---------------------------------------------------------------------------
+# The stream checker: every stream ticked and audited on its own
+
+def check_streams(tree, formula, alphabet, bound):
+    """``verify.check_inclusion``'s report, found depth first with no
+    merging: one tick per stream prefix and one audit per successful
+    stream.  Counterexamples come in the streams' lexicographic order."""
+    names = _guard(alphabet, bound)
+    formula = inline_actions(formula, tree)
+    valuations = [dict(zip(names, row))
+                  for row in itertools.product((False, True), repeat=len(names))]
+    report = InclusionReport(bound=bound, alphabet_size=len(names))
+    runner = bt.MissionRunner(tree)
+    trace_alpha = frozenset(names)
+
+    def visit(depth):
+        # every valuation ticks from the same pre-tick state; restore
+        # copies the snapshot's memory, so one snapshot serves them all
+        snap = runner.snapshot()
+        for valuation in valuations:
+            status = runner.tick_once(valuation)
+            if status is bt.SUCCESS:
+                report.n_bt_success_traces += 1
+                states = list(runner.trace_states)
+                if not ltlf.evaluate(formula, ltlf.Trace(states, trace_alpha), 0):
+                    report.n_violations += 1
+                    if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
+                        report.counterexamples.append(states)
+            elif status is bt.RUNNING and depth + 1 < bound:
+                visit(depth + 1)
+            runner.restore(snap)
+
+    visit(0)
+    return report

@@ -107,3 +107,48 @@ def test_tree_sizes_of_the_compiled_workloads():
     cfg = MissionConfig(t_task_max=50, theta=1)
     assert node_count(compile_mission(build_c2h(), cfg)) == 20
     assert node_count(compile_mission(build_keydoor(), cfg)) == 39
+
+
+def test_traced_inclusion_check_ticks_and_snapshots(spans):
+    """The traced run's per-layer verify numbers divide by the tree ticks
+    and snapshots taken directly under ``verify.check_inclusion``: the c2h
+    lead op must make both, or ``layer_metrics`` has nothing to report."""
+    workloads = perfbench_module("workloads")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        out = tracer.run_op(0, workloads.C2H_OP.run)
+    finally:
+        tracer.uninstall()
+    summary = spans.span_summary(tracer)
+    assert out == workloads.load_workload("verify").golden[workloads.C2H_OP.key]
+    assert summary["_prefixes"] > 0
+    assert summary["bt.snapshot"]["calls"] > 0
+    assert summary["bt.restore"]["calls"] > 0
+    metrics = spans.layer_metrics(tracer)
+    assert {"verify.prefixes", "verify.us_per_prefix",
+            "bt.snapshot_restore.us_per_call"} <= set(metrics)
+
+
+def test_reference_checked_audits_see_verify_audits():
+    """The golden build and the traced run re-audit every verify audit with
+    the reference evaluator through ``verify.evaluate``; a verify op must
+    still audit through that name."""
+    workloads = perfbench_module("workloads")
+    op = workloads.verify_pool()[0]
+    with workloads.reference_checked_audits() as counts:
+        op.run()
+    assert counts[0] > 0
+    assert counts[1] == 0
+
+
+def test_tree_ticks_of_verifying_the_corpus(spans):
+    """Pins the work of one pass over the verify pool with no clock: the
+    layered search ticks each key once per valuation (the stream checker
+    made 574,952 tree ticks here)."""
+    workloads = perfbench_module("workloads")
+    pool = workloads.verify_pool()
+    node_ticks, tree_ticks = spans.count_node_ticks(lambda: [op.run() for op in pool])
+    assert tree_ticks == 37_536
+    lead_ticks = spans.count_node_ticks(workloads.C2H_OP.run)[1]
+    assert lead_ticks == 512

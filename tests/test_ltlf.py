@@ -1,13 +1,14 @@
 import random
+import time
 
 import pytest
 
 from helpers import formula_from_json, recursion_limit
 from ppabt.ltlf import (
     MAX_NESTING, And, Atom, Binary, Finally, Globally, Next, Not, Or,
-    ParseError, Trace, TraceIndexError, Unary, Until, UnknownAtom, atoms_of,
-    compile_prop, evaluate, format_formula, formula_to_json, is_propositional,
-    parse_ltlf,
+    ParseError, Progression, Trace, TraceIndexError, Unary, Until, UnknownAtom,
+    atoms_of, compile_prop, evaluate, format_formula, formula_to_json,
+    is_propositional, parse_ltlf,
 )
 
 AB = {"a", "b", "c"}
@@ -301,3 +302,76 @@ class TestNesting:
         assert evaluate(f, trace_of(AB, {"a": True})) in (True, False)
         with pytest.raises(ParseError):
             parse_ltlf(make(MAX_NESTING + 1), AB)
+
+
+class TestProgression:
+    STATES = [{"a": a, "b": b, "c": c}
+              for a in (False, True) for b in (False, True) for c in (False, True)]
+
+    def test_prefixes_with_one_residual_agree_on_every_suffix(self):
+        # the residual is check_inclusion's merge key: two prefixes that
+        # reach it must get one verdict, whatever follows and however long
+        rng = random.Random(71)
+        merged = 0
+        for _ in range(150):
+            formula = random_formula(rng, ["a", "b", "c"], depth=5)
+            progression = Progression(formula)
+            by_residual = {}
+            for _ in range(40):
+                prefix = [rng.choice(self.STATES) for _ in range(rng.randint(1, 4))]
+                residual = progression.start
+                for state in prefix:
+                    residual = progression.step(residual, state)
+                by_residual.setdefault(residual, []).append(prefix)
+            for prefixes in by_residual.values():
+                merged += len(prefixes) - 1
+                for _ in range(4):
+                    suffix = [rng.choice(self.STATES) for _ in range(rng.randint(1, 4))]
+                    verdicts = {evaluate(formula, Trace(p + suffix, frozenset(AB)))
+                                for p in prefixes}
+                    assert len(verdicts) == 1, (formula, prefixes, suffix)
+        assert merged > 3000
+
+    def test_weak_and_strong_next_stay_apart(self):
+        # after a: X b, false on a one-state rest; after !a: N b, true there
+        formula = parse_ltlf("| (& a (X (X b))) (& (! a) (! (X (X (! b)))))", AB)
+        progression = Progression(formula)
+        after = [progression.step(progression.start, {"a": a, "b": False, "c": False})
+                 for a in (True, False)]
+        assert after[0] != after[1]
+
+    def test_constants_fold(self):
+        progression = Progression(parse_ltlf("& (G a) (F b)", AB))
+        residual = progression.step(progression.start, {"a": False, "b": True, "c": False})
+        assert residual == Progression.FALSE
+        progression = Progression(parse_ltlf("| (F a) (G b)", AB))
+        residual = progression.step(progression.start, {"a": True, "b": False, "c": False})
+        assert residual == Progression.TRUE
+
+    def test_a_state_without_an_atom_of_the_formula_raises(self):
+        progression = Progression(parse_ltlf("F c", AB))
+        with pytest.raises(UnknownAtom):
+            progression.step(progression.start, {"a": True, "b": True})
+
+    def test_wide_conjunction_steps_without_distribution(self):
+        # & of 40 | (X^i a) (X^i b): 2^40 clauses in disjunctive normal form
+        a, b = Atom("a"), Atom("b")
+        conjuncts = []
+        for i in range(40):
+            xa, xb = a, b
+            for _ in range(i):
+                xa, xb = Next(xa), Next(xb)
+            conjuncts.append(Or(xa, xb))
+        formula = conjuncts[0]
+        for conjunct in conjuncts[1:]:
+            formula = And(formula, conjunct)
+        rng = random.Random(72)
+        t0 = time.perf_counter()
+        progression = Progression(formula)
+        residual = progression.start
+        for _ in range(40):
+            a_holds = rng.random() < 0.5
+            residual = progression.step(residual, {"a": a_holds, "b": not a_holds})
+            assert residual != Progression.FALSE
+        assert time.perf_counter() - t0 < 1.0
+        assert residual == Progression.TRUE

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from helpers import (
-    counterexample_mission, enumerate_language, mission_alphabet, trace_of,
-    with_action_props,
+    check_streams, counterexample_mission, enumerate_language, mission_alphabet,
+    recursion_limit, trace_of, with_action_props,
 )
 from ppabt import bt, ltlf, mission as ms
 from ppabt.compiler import bind_scripted, compile_mission, inline_actions
@@ -12,11 +12,13 @@ from ppabt.ltlf import Atom, Trace
 from ppabt.mission import MissionConfig, expand_mission, ppa_task
 from ppabt.missions import C2H_TEXT
 from ppabt.verify import (
-    MAX_FUZZ_TASKS, BoundTooLarge, audit_trace, check_inclusion, check_mission,
-    evaluate_reference, fuzz_corpus_report, random_sound_mission,
-    strip_conditions,
+    FUZZ_ATOMS, MAX_FUZZ_TASKS, BoundTooLarge, UnscriptedAction, audit_trace,
+    check_inclusion, check_mission, evaluate_reference, fuzz_corpus_report,
+    random_sound_mission, strip_conditions,
 )
+from test_compiler import GC_BREAKS_UNDER_POST
 from test_ltlf import random_formula, random_trace
+from test_mission import nested_mission
 
 ABC = {"a", "b", "c"}
 C2H_ATOMS = {"Cheese", "Fire", "Home"}
@@ -177,10 +179,20 @@ class TestCheckInclusion:
         monkeypatch.setattr(bt.MissionRunner, "snapshot", counted)
         expr = ms.parse_mission(C2H_TEXT, C2H_ATOMS)
         report = check_mission(expr, C2H_ATOMS, bound=4)
-        # one snapshot per explored prefix, not one per valuation (1,344)
-        assert len(calls) == 168
+        # one snapshot per distinct key (the start's included), not one per
+        # explored prefix (168) or per valuation (1,344)
+        assert len(calls) == 36
         assert report.n_bt_success_traces == 253
         assert report.n_violations == 0
+
+    def test_action_with_a_chooser_is_refused(self):
+        expr = single_task_mission()
+        tree = compile_mission(expr, MissionConfig(t_task_max=4, theta=1),
+                               choose={"t": lambda state, rng: None})
+        with pytest.raises(UnscriptedAction):
+            check_inclusion(tree, expand_mission(expr), ABC, bound=3)
+        bind_scripted(tree, expr, None)
+        assert check_inclusion(tree, expand_mission(expr), ABC, bound=3).n_violations == 0
 
     def test_report_serialization(self):
         report = check_mission(single_task_mission(), ABC, bound=3)
@@ -188,6 +200,69 @@ class TestCheckInclusion:
         assert data["n_violations"] == 0
         assert data["bound"] == 3
         assert report.counterexamples_csv_rows() == []
+
+
+class TestLayeredSearchMatchesStreams:
+    """``check_inclusion`` merges streams by key; ``helpers.check_streams``
+    ticks and audits every stream on its own.  Their counts must agree,
+    and every counterexample listed must be a real one."""
+
+    def agree(self, expr, alphabet, bound, theta=1, t_task_max=None, tree=None):
+        formula = expand_mission(expr)
+        cfg = MissionConfig(t_task_max=t_task_max or bound, theta=theta)
+        tree = tree or compile_mission(expr, cfg)
+        report = check_inclusion(tree, formula, alphabet, bound)
+        oracle = check_streams(tree, formula, alphabet, bound)
+        counts = (report.n_bt_success_traces, report.n_violations)
+        assert counts == (oracle.n_bt_success_traces, oracle.n_violations)
+        witnesses = report.counterexamples
+        assert len(witnesses) <= report.n_violations
+        assert len({tuple(tuple(sorted(state.items())) for state in w)
+                    for w in witnesses}) == len(witnesses)
+        assert [len(w) for w in witnesses] == sorted(len(w) for w in witnesses)
+        if report.n_violations:
+            assert witnesses
+        alpha = mission_alphabet(expr, alphabet)
+        for states in witnesses:
+            trace = Trace(with_action_props(expr, states), alpha)
+            assert evaluate_reference(formula, trace, 0) is False
+        return counts
+
+    def test_fuzzed_corpus(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            expr = random_sound_mission(rng, list(FUZZ_ATOMS))
+            self.agree(expr, set(FUZZ_ATOMS), 4, theta=rng.choice([0, 1, 2]))
+
+    def test_c2h(self):
+        expr = ms.parse_mission(C2H_TEXT, C2H_ATOMS)
+        assert self.agree(expr, C2H_ATOMS, 4) == (253, 0)
+
+    @pytest.mark.parametrize("t_task_max", [4, 2])
+    def test_gc_breaks_under_post(self, t_task_max):
+        expr = ms.parse_mission(GC_BREAKS_UNDER_POST, set(FUZZ_ATOMS))
+        self.agree(expr, set(FUZZ_ATOMS), 4, theta=0, t_task_max=t_task_max)
+
+    @pytest.mark.parametrize("bound, counts", [(3, (52, 16)), (4, (160, 61)),
+                                               (5, (484, 206))])
+    def test_counterexample_mission(self, bound, counts):
+        expr = counterexample_mission(["a", "b", "c"])
+        assert self.agree(expr, ABC, bound, theta=0) == counts
+        self.agree(expr, ABC, bound, theta=1)
+
+    def test_stripped_gc_mutant(self):
+        expr = single_task_mission()
+        tree = compile_mission(expr, MissionConfig(t_task_max=4, theta=0))
+        strip_conditions(tree, expr.spec.gc)
+        assert self.agree(expr, ABC, 4, tree=tree)[1] >= 1
+
+    @pytest.mark.parametrize("shape", ["parentheses", "operators", "F-chain"])
+    def test_missions_at_the_nesting_limit(self, shape):
+        # progression recurses over the formula, never over the trace
+        expr = ms.parse_mission(nested_mission(ltlf.MAX_NESTING, shape), {"a"})
+        with recursion_limit(1000):
+            counts = self.agree(expr, {"a"}, 6)
+        assert counts[0] > 0
 
 
 class TestSoundFragment:
