@@ -3,12 +3,14 @@
 Control nodes are reactive: sequence and selector re-evaluate their
 children from the left on every tick, parallel ticks all children.
 Conditions never return Running.  The ``MissionRunner`` is the tick
-context: every node ticks against it and reads the current state, the
-tick counter and the random source from it.  It also owns the only
-node memory, the set of latched decorators and the Finally reset
-counts, keyed by node: nodes hold structure only and carry no ids.  So
-a whole execution can be snapshotted and restored, and one tree can
-serve any number of runs.  States are recorded as the environment gave
+context: every node ticks against it and reads the current state and
+the random source from it.  It also owns the only node memory, the set
+of latched decorators and the Finally reset counts, keyed by node:
+nodes hold structure only and carry no ids.  So a whole execution can
+be snapshotted and restored, and one tree can serve any number of runs.
+No tick branches on the tick counter: the trace bound is a run's only
+deadline, and a tick's outcome is a function of the memory, the state
+and the choosers' draws.  States are recorded as the environment gave
 them; formulas are read through ``ltlf`` alone.
 
 Every node lists its ``children`` (none on leaves) and describes itself
@@ -86,16 +88,6 @@ class ControlNode(BtNode):
         return go_on
 
 
-class DecoratorNode(BtNode):
-    """Node with exactly one child."""
-
-    shape = "diamond"
-
-    def __init__(self, child: BtNode):
-        self.child = child
-        self.children = [child]
-
-
 class Sequence(ControlNode):
     kind = "sequence"
     symbol = "→"  # ->
@@ -144,29 +136,27 @@ Chooser = Callable[[StateVector, Random], object]
 
 
 class ActionRunner(BtNode):
-    """Action node: Success exactly when its task's postcondition holds
-    within the time budget, Failure once the budget is spent, Running
-    meanwhile.  While it runs, ``choose(state, rng)`` may return one
-    environment action to request; a node without ``choose`` is scripted.
+    """Action node: Success exactly when its task's postcondition holds,
+    Running otherwise.  While it runs, ``choose(state, rng)`` may return
+    one environment action to request; a node without ``choose`` is
+    scripted.  It keeps no clock: the trace bound ends a run that never
+    succeeds.
     """
 
     kind = "action"
     symbol = "□"
     params = {"binding": "{}"}
 
-    def __init__(self, binding: str, postcondition: Formula, t_task_max: int,
+    def __init__(self, binding: str, postcondition: Formula,
                  choose: Chooser | None = None):
         self.binding = binding
         self.postcondition = postcondition
-        self.t_task_max = t_task_max
         self.choose = choose
         self.post_fn = compile_prop(postcondition)
 
     def tick(self, ctx):
         if self.post_fn(ctx.state):
-            return SUCCESS if ctx.t <= self.t_task_max else FAILURE
-        if ctx.t >= self.t_task_max:
-            return FAILURE
+            return SUCCESS
         env_action = self.choose(ctx.state, ctx.rng) if self.choose else None
         if env_action is not None:
             if ctx.pending is not None:
@@ -176,8 +166,8 @@ class ActionRunner(BtNode):
         return RUNNING
 
 
-class FinallyReset(DecoratorNode):
-    """Mission Finally decorator.
+class FinallyReset(BtNode):
+    """Mission Finally decorator, the only node with one child.
 
     Latches child success.  On child failure it clears the latches in
     its subtree and reports Running, up to ``theta`` times; once the
@@ -186,11 +176,13 @@ class FinallyReset(DecoratorNode):
 
     kind = "finally_reset"
     symbol = "◇ F"
+    shape = "diamond"
     params = {"theta": "(theta={})"}
 
     def __init__(self, child: BtNode, theta: int):
-        super().__init__(child)
         assert theta >= 0
+        self.child = child
+        self.children = [child]
         self.theta = theta
 
     def tick(self, ctx):
@@ -217,25 +209,6 @@ class PreconditionLatch(FinallyReset):
 
     def __init__(self, child: BtNode):
         super().__init__(child, theta=0)
-
-
-class MissionRoot(DecoratorNode):
-    """Passes its child's status through and fails once time is up."""
-
-    kind = "mission_root"
-    symbol = "◇ root"
-    params = {"t_task_max": "(t_max={})"}
-
-    def __init__(self, child: BtNode, t_task_max: int):
-        super().__init__(child)
-        assert t_task_max >= 1
-        self.t_task_max = t_task_max
-
-    def tick(self, ctx):
-        status = self.child.tick(ctx)
-        if status is not SUCCESS and ctx.t >= self.t_task_max:
-            status = FAILURE
-        return status
 
 
 def iter_nodes(tree: BtNode) -> Iterator[BtNode]:

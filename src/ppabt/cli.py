@@ -159,8 +159,7 @@ def cmd_parse(args) -> int:
 
 def cmd_compile(args) -> int:
     expr, _ = _load_mission(args)
-    cfg = MissionConfig(t_task_max=args.max_trace, theta=args.theta)
-    tree = compile_mission(expr, cfg)
+    tree = compile_mission(expr, MissionConfig(theta=args.theta))
     if args.dot:
         Path(args.dot).write_text(export_dot(tree) + "\n")
     _write_json(bt_to_json(tree), args.out)
@@ -325,7 +324,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compile", help="mission file to BT JSON and DOT")
     common(p)
     p.add_argument("--theta", type=non_negative_int, default=1)
-    p.add_argument("--max-trace", type=positive_int, default=50)
     p.add_argument("--dot", help="write Graphviz text here")
     p.set_defaults(fn=cmd_compile)
 

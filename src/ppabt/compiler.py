@@ -12,16 +12,16 @@ a run: the parallel checks ``gc`` on the same state in the same tick).
 The task succeeds as the postcondition holds under the global constraint
 or as the plan runs (precondition latched, task constraint held).
 
-Each action node is built whole, with its task's postcondition, the
-mission's ``t_task_max`` and its chooser from the ``choose`` map (action
-name -> ``choose(state, rng)``); an action missing from the map is
-scripted.  Tasks that share an action must share its postcondition:
-``inline_actions`` substitutes it for the reserved ``__action_<m>`` atom.
+Each action node is built whole, with its task's postcondition and its
+chooser from the ``choose`` map (action name -> ``choose(state, rng)``);
+an action missing from the map is scripted.  Tasks that share an action
+must share its postcondition: ``inline_actions`` substitutes it for the
+reserved ``__action_<m>`` atom.
 
 Mission operators map onto control nodes: or to selector, and to
 parallel, until to sequence (left subtree must succeed before the right
-is ticked), finally to a resetting decorator; the root tracks the
-mission time budget; a task leaf compiles to its template's selector.
+is ticked), finally to a resetting decorator; a task leaf compiles to
+its template's selector, and the mission's top node is the tree's root.
 Trees carry no ids and tick as built: each run keeps its node memory in
 its ``MissionRunner``, keyed by node.
 """
@@ -30,16 +30,15 @@ from __future__ import annotations
 
 from . import ltlf, mission as ms
 from .bt import (
-    ActionRunner, BtNode, Chooser, Condition, FinallyReset, MissionRoot,
-    Parallel, PreconditionLatch, Selector, Sequence, iter_nodes,
+    ActionRunner, BtNode, Chooser, Condition, FinallyReset, Parallel,
+    PreconditionLatch, Selector, Sequence, iter_nodes,
 )
 
 
-def compile_task(spec: ms.PpaTaskSpec, cfg: ms.MissionConfig,
-                 choose: Chooser | None = None) -> BtNode:
+def compile_task(spec: ms.PpaTaskSpec, choose: Chooser | None = None) -> BtNode:
     check = lambda prop: [] if prop == ltlf.TRUE else [Condition(prop)]
     group = lambda control, nodes: nodes[0] if len(nodes) == 1 else control(nodes)
-    action = ActionRunner(spec.action, spec.poc, cfg.t_task_max, choose)
+    action = ActionRunner(spec.action, spec.poc, choose)
     return Selector([
         group(Parallel, [*check(spec.gc), Condition(spec.poc)]),
         group(Parallel, [*check(spec.gc), *map(PreconditionLatch, check(spec.prc)),
@@ -52,7 +51,9 @@ _CONTROL = {ms.Or: Selector, ms.And: Parallel, ms.Until: Sequence}
 
 def compile_mission(expr: ms.MissionExpr, cfg: ms.MissionConfig,
                     choose: dict[str, Chooser] | None = None) -> BtNode:
-    """The mission's tree; ``choose`` maps action names to choosers."""
+    """The mission's tree, rooted at its top operator's node: every Finally
+    gets the retry budget ``cfg.theta``, and ``choose`` maps action names
+    to choosers."""
     choose = choose or {}
     owner: dict[str, ms.PpaTaskSpec] = {}
 
@@ -63,7 +64,7 @@ def compile_mission(expr: ms.MissionExpr, cfg: ms.MissionConfig,
                 raise ms.MissionError(
                     f"tasks {first.name!r} and {e.spec.name!r} share action "
                     f"{e.spec.action!r} with different postconditions")
-            return compile_task(e.spec, cfg, choose.get(e.spec.action))
+            return compile_task(e.spec, choose.get(e.spec.action))
         if isinstance(e, ms.Finally):
             return FinallyReset(build(e.child), cfg.theta)
         control = _CONTROL.get(type(e))
@@ -71,7 +72,7 @@ def compile_mission(expr: ms.MissionExpr, cfg: ms.MissionConfig,
             raise TypeError(f"not a mission expression: {e!r}")
         return control([build(e.left), build(e.right)])
 
-    return MissionRoot(build(expr), cfg.t_task_max)
+    return build(expr)
 
 
 def bind_scripted(tree: BtNode, expr: ms.MissionExpr, cfg: ms.MissionConfig) -> BtNode:

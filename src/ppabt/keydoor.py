@@ -63,6 +63,10 @@ class Perturbation:
 
 @dataclass
 class ScenarioScript:
+    """One key-door trial: the Finally retry budget, each stage's plan
+    length, an optional perturbation and the trace bound ``max_trace``.
+    ``t_task_max`` is accepted and unused: the trace bound ends the run."""
+
     theta: int = 1
     durations: dict = field(default_factory=lambda: {s: 3 for s in STAGES})
     perturbation: Perturbation | None = None
@@ -137,12 +141,11 @@ def run_baseline_trial(script: ScenarioScript) -> dict:
 
 
 @cache
-def _bt_mission(theta: int, t_task_max: int):
+def _bt_mission(theta: int):
     """The key-door tree and its goal formula, action propositions inlined,
     shared by every trial: node memory lives in each run's MissionRunner."""
     expr = build_keydoor()
-    cfg = MissionConfig(t_task_max=t_task_max, theta=theta)
-    tree = compile_mission(expr, cfg, choose={
+    tree = compile_mission(expr, MissionConfig(theta=theta), choose={
         task.action: lambda state, rng, stage=task.action: stage
         for task in tasks_of(expr)})
     return tree, inline_actions(expand_mission(expr), tree)
@@ -151,7 +154,7 @@ def _bt_mission(theta: int, t_task_max: int):
 def run_bt_trial(script: ScenarioScript) -> dict:
     """Run the compiled key-door mission against the scripted world and
     audit a successful trace against the expanded mission formula."""
-    tree, goal = _bt_mission(script.theta, script.t_task_max)
+    tree, goal = _bt_mission(script.theta)
     world = KeyDoorWorld(script)
     status, trace_states, runner = bt.run_to_completion(tree, world,
                                                         script.max_trace)

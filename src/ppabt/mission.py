@@ -106,16 +106,16 @@ class Task(Formula):
 
 @dataclass
 class MissionConfig:
-    """The compiler's time and retry budgets.  ``alphabet`` is accepted
-    and unused: atoms are checked when the mission is parsed."""
+    """The compiler's retry budget ``theta``, given to every Finally.
+    ``alphabet`` is accepted and unused: atoms are checked when the
+    mission is parsed.  ``t_task_max`` is accepted and unused: trees keep
+    no clock, and the trace bound of a run is its only deadline."""
 
-    t_task_max: int
     theta: int
     alphabet: frozenset[str] = frozenset()
+    t_task_max: int | None = None
 
     def __post_init__(self):
-        if self.t_task_max < 1:
-            raise ValueError("t_task_max must be at least 1")
         if self.theta < 0:
             raise ValueError("theta must be nonnegative")
 

@@ -259,10 +259,9 @@ class C2hRuntime:
         self.policy = policy
         self.max_trace = max_trace
         self.alphabet = gw.grid_alphabet(grid_cfg)
-        mcfg = MissionConfig(t_task_max=max_trace, theta=0)
         self.env: gw.GridEnv | None = None
         self.pairs: list[tuple[str, int, str]] = []
-        self.tree = compile_mission(expr, mcfg, choose={
+        self.tree = compile_mission(expr, MissionConfig(theta=0), choose={
             spec.action: self._chooser(phase) for spec, phase in zip(specs, PHASES)})
         self.formula = inline_actions(expand_mission(expr), self.tree)
 

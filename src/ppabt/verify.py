@@ -56,7 +56,7 @@ class BoundTooLarge(Exception):
 class UnscriptedAction(Exception):
     """An action node with a ``choose`` was given to ``check_inclusion``,
     whose merging of streams assumes every tick reads only the tree's
-    memory, ``t`` and the state."""
+    memory and the state."""
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +149,10 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
     The search runs one layer per tick.  A layer maps each key
     ``(latched, resets, residual)`` its streams reach to their number, a
     snapshot of the runner and the first of them found, the witness.  A
-    scripted tree's tick reads only its memory, ``t`` (the layer) and
-    the state, and the residual settles the verdict of every
-    continuation; so the streams of one key tick alike and their audits
-    agree.  Counterexamples come out shortest first, one per class.
+    scripted tree's tick reads only its memory and the state, and the
+    residual settles the verdict of every continuation; so the streams
+    of one key tick alike and their audits agree.  Counterexamples come
+    out shortest first, one per class.
     """
     names = _guard(alphabet, bound)
     if any(isinstance(node, bt.ActionRunner) and node.choose
@@ -197,7 +197,7 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
 def check_mission(expr: ms.MissionExpr, alphabet, bound: int,
                   theta: int = 1) -> InclusionReport:
     """Compile with scripted actions, and exhaustively check one mission."""
-    tree = compile_mission(expr, ms.MissionConfig(t_task_max=bound, theta=theta))
+    tree = compile_mission(expr, ms.MissionConfig(theta=theta))
     formula = ms.expand_mission(expr)
     return check_inclusion(tree, formula, alphabet, bound)
 

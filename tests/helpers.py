@@ -90,12 +90,12 @@ class StubNode(BtNode):
         return status
 
 
-def paper_task_tree(spec, cfg, choose=None):
+def paper_task_tree(spec, choose=None):
     """The paper's 14-node task template, with every check kept and nested
     as drawn: the reference whose runs ``compiler.compile_task``'s flat
     trees must repeat."""
     gc = lambda: Condition(spec.gc)
-    action = ActionRunner(spec.action, spec.poc, cfg.t_task_max, choose)
+    action = ActionRunner(spec.action, spec.poc, choose)
     return Selector([
         Parallel([gc(), Condition(spec.poc)]),
         Parallel([

@@ -70,7 +70,7 @@ def test_node_ticks_of_a_seeded_episode(spans):
 
     cfg = GridConfig(p_in=0.8)
     runtime = C2hRuntime(build_c2h(cfg), cfg, Policy(), 50)
-    assert spans.count_node_ticks(lambda: runtime.run_episode(7)) == (419, 40)
+    assert spans.count_node_ticks(lambda: runtime.run_episode(7)) == (379, 40)
 
 
 def test_node_ticks_of_a_reset_keydoor_trial(spans):
@@ -80,7 +80,7 @@ def test_node_ticks_of_a_reset_keydoor_trial(spans):
 
     script = ScenarioScript(perturbation=Perturbation("door"))
     assert run_bt_trial(script)["resets"] == 1
-    assert spans.count_node_ticks(lambda: run_bt_trial(script)) == (183, 12)
+    assert spans.count_node_ticks(lambda: run_bt_trial(script)) == (171, 12)
 
 
 def test_tree_sizes_of_the_compiled_workloads():
@@ -101,12 +101,12 @@ def test_tree_sizes_of_the_compiled_workloads():
     total = 0
     for _ in range(workloads.VERIFY_POOL):
         expr = random_sound_mission(rng, list(workloads.VERIFY_ATOMS))
-        cfg = MissionConfig(t_task_max=workloads.VERIFY_BOUND, theta=rng.choice([0, 1, 2]))
+        cfg = MissionConfig(theta=rng.choice([0, 1, 2]))
         total += node_count(compile_mission(expr, cfg))
-    assert total == 2738
-    cfg = MissionConfig(t_task_max=50, theta=1)
-    assert node_count(compile_mission(build_c2h(), cfg)) == 20
-    assert node_count(compile_mission(build_keydoor(), cfg)) == 39
+    assert total == 2538
+    cfg = MissionConfig(theta=1)
+    assert node_count(compile_mission(build_c2h(), cfg)) == 19
+    assert node_count(compile_mission(build_keydoor(), cfg)) == 38
 
 
 def test_traced_inclusion_check_ticks_and_snapshots(spans):

@@ -8,7 +8,7 @@ from helpers import StaticEnv, StubNode
 from ppabt import ltlf
 from ppabt.bt import (
     ActionRunner, Condition, ConcurrentActionConflict, FAILURE, FinallyReset,
-    MissionRoot, MissionRunner, Parallel, PreconditionLatch, RUNNING, SUCCESS,
+    MissionRunner, Parallel, PreconditionLatch, RUNNING, SUCCESS,
     Selector, Sequence, bt_to_json, export_dot,
     iter_nodes, node_count, run_to_completion,
 )
@@ -49,7 +49,7 @@ class TestControlNodes:
         assert right.ticks == 0
 
     def test_sequence_never_ticks_action_after_failing_condition(self):
-        act = ActionRunner("x", A("done"), 10, choose=lambda s, r: "go")
+        act = ActionRunner("x", A("done"), choose=lambda s, r: "go")
         tree = Sequence([Condition(A("a")), act])
         status, ctx = tick_tree(tree, {"a": False, "done": False})
         assert status is FAILURE
@@ -165,7 +165,7 @@ class TestDecorators:
     def test_ancestor_reset_clears_descendant_memory(self):
         # inner Finally: one reset on tick 0, running on tick 1, success
         # on tick 2, where the failing stub makes the outer Finally reset
-        act = ActionRunner("x", A("done"), 10, choose=lambda s, r: "go")
+        act = ActionRunner("x", A("done"), choose=lambda s, r: "go")
         inner = FinallyReset(Sequence([Condition(A("ok")), act]), theta=2)
         outer = FinallyReset(Sequence([inner, StubNode([FAILURE])]), theta=1)
         runner = MissionRunner(outer)
@@ -183,20 +183,9 @@ class TestDecorators:
         assert runner.latched == set()
         assert runner.total_resets() == 1
 
-    def test_mission_root_time_budget(self):
-        node = MissionRoot(StubNode([RUNNING]), t_task_max=2)
-        runner = MissionRunner(node)
-        assert tick_tree(node, {}, runner, t=0)[0] is RUNNING
-        assert tick_tree(node, {}, runner, t=1)[0] is RUNNING
-        assert tick_tree(node, {}, runner, t=2)[0] is FAILURE
-
-    def test_mission_root_allows_success_at_boundary(self):
-        node = MissionRoot(StubNode([SUCCESS]), t_task_max=2)
-        assert tick_tree(node, {}, t=2)[0] is SUCCESS
-
 
 GRID = {"Cheese", "Fire", "Home"}
-CFG = MissionConfig(t_task_max=10, theta=0, alphabet=frozenset(GRID))
+CFG = MissionConfig(theta=0, alphabet=frozenset(GRID))
 
 
 def scripted_task_tree(post="Cheese", gc="!Fire", pre="True", tc="True",
@@ -208,7 +197,7 @@ def scripted_task_tree(post="Cheese", gc="!Fire", pre="True", tc="True",
     expr = ms.Task(spec)
     if theta is not None:
         expr = ms.Finally(expr)
-        cfg = MissionConfig(cfg.t_task_max, theta, cfg.alphabet)
+        cfg = MissionConfig(theta=theta, alphabet=cfg.alphabet)
     tree = compile_mission(expr, cfg)
     return bind_scripted(tree, expr, cfg)
 
@@ -227,14 +216,6 @@ class TestRunToCompletion:
         status, trace, _ = run_to_completion(tree, env, max_trace=10)
         assert status is FAILURE
         assert len(trace) == 2  # failed on the Fire state
-
-    def test_time_budget_exhaustion_fails(self):
-        cfg = MissionConfig(t_task_max=3, theta=0, alphabet=frozenset(GRID))
-        tree = scripted_task_tree(cfg=cfg)
-        env = StaticEnv(GRID, [{}])
-        status, trace, _ = run_to_completion(tree, env, max_trace=10)
-        assert status is FAILURE
-        assert len(trace) == 4  # ticks 0..3, action fails at t=3
 
     def test_trace_bound_reported_as_failure(self):
         tree = scripted_task_tree()
@@ -325,7 +306,7 @@ class TestRunToCompletion:
                          {index[node] for node in runner.latched},
                          {index[node]: used for node, used in runner.resets.items()}))
         assert runs[0] == runs[1]
-        assert runs[0][3] and runs[0][4] == {1: 1}  # the task's Finally reset once
+        assert runs[0][3] and runs[0][4] == {0: 1}  # the task's Finally (the root) reset once
 
 
 class TestActionContract:
@@ -339,12 +320,12 @@ class TestActionContract:
         with pytest.raises(ConcurrentActionConflict):
             run_to_completion(tree, env, max_trace=5)
 
-    def test_runner_success_requires_post_within_budget(self):
-        act = ActionRunner("x", A("p"), t_task_max=3)
-        assert tick_tree(act, {"p": True}, t=3)[0] is SUCCESS
-        assert tick_tree(act, {"p": True}, t=4)[0] is FAILURE
-        assert tick_tree(act, {"p": False}, t=2)[0] is RUNNING
-        assert tick_tree(act, {"p": False}, t=3)[0] is FAILURE
+    def test_runner_success_exactly_when_post_holds(self):
+        # the node keeps no clock: only the trace bound ends a run
+        act = ActionRunner("x", A("p"))
+        for t in (0, 3, 4, 10**6):
+            assert tick_tree(act, {"p": True}, t=t)[0] is SUCCESS
+            assert tick_tree(act, {"p": False}, t=t)[0] is RUNNING
 
 
 class TestSerialization:
@@ -355,7 +336,7 @@ class TestSerialization:
 
     def test_dot_task_tree_shape(self):
         spec = ppa_task("cheese", post="Cheese", gc="!Fire", alphabet=GRID)
-        tree = compile_task(spec, CFG)
+        tree = compile_task(spec)
         dot = export_dot(tree)
         assert dot.count("?") >= 1          # root selector
         assert dot.count("□") == 1     # one action node
@@ -366,7 +347,7 @@ class TestSerialization:
         expr = parse_mission(
             "U (F task(a, post=Cheese, gc=!Fire)) (F task(b, post=Home, gc=!Fire))",
             GRID)
-        tree = compile_mission(expr, MissionConfig(9, 1, frozenset(GRID)))
+        tree = compile_mission(expr, MissionConfig(theta=1, alphabet=frozenset(GRID)))
 
         def preorder(data):
             yield data
@@ -376,7 +357,7 @@ class TestSerialization:
         nodes = list(preorder(bt_to_json(tree)))
         assert [d["kind"] for d in nodes] == [n.kind for n in iter_nodes(tree)]
         assert [d["id"] for d in nodes] == list(range(node_count(tree)))
-        assert nodes[0]["t_task_max"] == 9 and nodes[1]["children"][0]["theta"] == 1
+        assert nodes[0]["kind"] == "sequence" and nodes[1]["theta"] == 1
 
     def test_runner_snapshot_restore(self):
         tree = scripted_task_tree(theta=1)

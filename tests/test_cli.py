@@ -50,7 +50,7 @@ class TestParseCompile:
         assert main(["compile", "--out", str(out), "--dot", str(dot),
                      "--theta", "1"]) == EXIT_OK
         tree = json.loads(out.read_text())
-        assert tree["kind"] == "mission_root"
+        assert tree["kind"] == "sequence"  # c2h is an until mission
         assert "digraph" in dot.read_text()
 
     def test_too_deep_mission_is_usage_error(self, tmp_path, capsys):
@@ -234,7 +234,8 @@ class TestMalformedInput:
         (["verify", "--bound", "0"], "--bound: must be at least 1"),
         (["sweep", "--trials", "0", "--max-trace", "-1"], "--max-trace: must be at least 1"),
         (["learn", "--runs", "0", "--max-trace", "-4"], "--max-trace: must be at least 1"),
-        (["compile", "--max-trace", "0"], "--max-trace: must be at least 1"),
+        # compile builds no run, so it has no trace bound to take
+        (["compile", "--max-trace", "0"], "unrecognized arguments: --max-trace 0"),
         (["infer", "--policy", "policy.json", "--max-trace", "-4"],
          "--max-trace: must be at least 1"),
     ], ids=["infer_trials", "learn_runs", "learn_episodes", "verify_missions",
@@ -324,7 +325,7 @@ class TestShippedMissions:
             out = tmp_path / "bt.json"
             assert main(["compile", "--mission", name,
                          "--out", str(out)]) == EXIT_OK
-            assert json.loads(out.read_text())["kind"] == "mission_root"
+            assert json.loads(out.read_text())["kind"] == "sequence"
 
     def test_shipped_keydoor_mission_verifies(self):
         # 4 user atoms within the guard: restrict to a 2-task slice

@@ -131,7 +131,7 @@ def build_case(rng, tmp_path, i: int) -> list[str]:
     if command in ("parse", "compile", "verify") and rng.random() < 0.4:
         argv += ["--alphabet", rng.choice(["", ",", "a", "a,b,t", "Cheese,Fire,Home"])]
     if command == "compile":
-        argv += ["--theta", rng.choice(COUNTS), "--max-trace", rng.choice(COUNTS)]
+        argv += ["--theta", rng.choice(COUNTS)]
         if rng.random() < 0.5:
             argv += ["--dot", str(tmp_path / f"bt{i}.dot")]
     elif command == "verify":

@@ -7,8 +7,8 @@ import pytest
 from helpers import derive_mission_text, paper_task_tree
 from ppabt import compiler, ltlf
 from ppabt.bt import (
-    ActionRunner, Condition, ControlNode, FinallyReset, MissionRoot, MissionRunner,
-    Parallel, PreconditionLatch, SUCCESS, Selector, Sequence, bt_to_json,
+    ActionRunner, Condition, ControlNode, FinallyReset, MissionRunner, Parallel,
+    PreconditionLatch, RUNNING, SUCCESS, Selector, Sequence, bt_to_json,
     export_dot, iter_nodes, node_count,
 )
 from ppabt.compiler import bind_scripted, compile_mission, compile_task, inline_actions
@@ -23,7 +23,7 @@ from ppabt.planners import C2hRuntime, Policy
 from ppabt.verify import FUZZ_ATOMS, check_inclusion, check_mission, random_sound_mission
 
 GRID = {"Cheese", "Fire", "Home"}
-CFG = MissionConfig(t_task_max=50, theta=1, alphabet=frozenset(GRID))
+CFG = MissionConfig(theta=1, alphabet=frozenset(GRID))
 
 
 def mission_size(expr):
@@ -39,7 +39,7 @@ class TestCompileTask:
     def test_template_structure(self):
         spec = ppa_task("cheese", post="Cheese", pre="!Home", gc="!Fire", tc="!Home",
                         alphabet=GRID)
-        tree = compile_task(spec, CFG)
+        tree = compile_task(spec)
         assert isinstance(tree, Selector)
         post_branch, act_branch = tree.children
         assert isinstance(post_branch, Parallel)
@@ -56,27 +56,26 @@ class TestCompileTask:
         assert isinstance(action, ActionRunner)
         assert action.binding == spec.action
         assert action.postcondition == spec.poc
-        assert action.t_task_max == CFG.t_task_max
         assert action.choose is None
         assert node_count(tree) == 11  # the paper's nesting has 14
 
     def test_true_checks_are_left_out(self):
         # every check but the postcondition is True: a selector over two leaves
         spec = ppa_task("cheese", post="Cheese", alphabet=GRID)
-        post, action = compile_task(spec, CFG).children
+        post, action = compile_task(spec).children
         assert isinstance(post, Condition) and post.prop == spec.poc
         assert isinstance(action, ActionRunner)
         # a global constraint alone: no latch, no task-constraint check, and
         # so no sequence: the action sits beside the gc check
         spec = ppa_task("cheese", post="Cheese", gc="!Fire", alphabet=GRID)
-        tree = compile_task(spec, CFG)
+        tree = compile_task(spec)
         assert [n.kind for n in iter_nodes(tree)] == [
             "selector", "parallel", "condition", "condition",
             "parallel", "condition", "action"]
 
     def test_task_constraint_is_left_until_child(self):
         spec = ppa_task("key", post="Cheese", tc="Home", alphabet=GRID)
-        tree = compile_task(spec, CFG)
+        tree = compile_task(spec)
         until = tree.children[1]
         assert isinstance(until, Sequence)
         assert until.children[0].prop == ltlf.Atom("Home")
@@ -87,16 +86,12 @@ class TestCompileMission:
     def test_single_task_is_its_template_under_root(self):
         expr = parse_mission("task(t, post=Cheese)", GRID)
         tree = compile_mission(expr, CFG)
-        assert isinstance(tree, MissionRoot)
-        assert tree.t_task_max == CFG.t_task_max
-        assert bt_to_json(tree.child) == bt_to_json(compile_task(expr.spec, CFG))
+        assert bt_to_json(tree) == bt_to_json(compile_task(expr.spec))
 
     def test_c2h_shape(self):
         text = ("U (F task(cheese, post=Cheese, gc=!Fire)) "
                 "(F task(home, post=Home, pre=Cheese, gc=!Fire))")
-        tree = compile_mission(parse_mission(text, GRID), CFG)
-        assert isinstance(tree, MissionRoot)
-        seq = tree.child
+        seq = compile_mission(parse_mission(text, GRID), CFG)
         assert isinstance(seq, Sequence)
         left, right = seq.children
         assert isinstance(left, FinallyReset) and left.theta == CFG.theta
@@ -104,7 +99,7 @@ class TestCompileMission:
         # each Finally holds its task's template directly
         assert isinstance(left.child, Selector)
         assert isinstance(right.child, Selector)
-        assert node_count(tree) == 20
+        assert node_count(seq) == 19
 
     def test_keydoor_nested_untils(self):
         kd = {"NoErr", "KeyStacked", "IsKeyDoor", "VisibleKeyDoor",
@@ -115,8 +110,7 @@ class TestCompileMission:
                 "tc=KeyStacked)) "
                 "(F task(prize, post=PrizePassive, pre=PrizeVisible, gc=NoErr, "
                 "tc=KeyDoorPassive)))")
-        tree = compile_mission(parse_mission(text, kd), MissionConfig(60, 1, kd))
-        outer = tree.child
+        outer = compile_mission(parse_mission(text, kd), MissionConfig(theta=1, alphabet=kd))
         assert isinstance(outer, Sequence)
         assert isinstance(outer.children[1], Sequence)
 
@@ -124,8 +118,8 @@ class TestCompileMission:
         expr = parse_mission("| task(a, post=Cheese) & task(b, post=Home) "
                              "task(c, post=Fire)", GRID)
         tree = compile_mission(expr, CFG)
-        assert isinstance(tree.child, Selector)
-        assert isinstance(tree.child.children[1], Parallel)
+        assert isinstance(tree, Selector)
+        assert isinstance(tree.children[1], Parallel)
 
     def test_compilation_is_pure(self):
         text = ("U (F task(cheese, post=Cheese, gc=!Fire)) "
@@ -135,7 +129,7 @@ class TestCompileMission:
         assert bt_to_json(a) == bt_to_json(b)
         assert bt_to_json(a) != bt_to_json(
             compile_mission(parse_mission(text, GRID),
-                            MissionConfig(50, 2, frozenset(GRID))))
+                            MissionConfig(theta=2, alphabet=frozenset(GRID))))
 
     def test_node_count_linear_in_mission_size(self):
         rng = random.Random(31)
@@ -143,13 +137,13 @@ class TestCompileMission:
         for _ in range(50):
             text = derive_mission_text(rng, [0], alphabet, depth=4)
             expr = parse_mission(text, alphabet)
-            tree = compile_mission(expr, MissionConfig(10, 1, alphabet))
+            tree = compile_mission(expr, MissionConfig(theta=1, alphabet=alphabet))
             assert node_count(tree) <= 14 * mission_size(expr) + 2
 
     def test_writers_number_nodes_in_preorder(self):
         # nodes carry no ids: JSON and DOT both number the i-th node of
         # the preorder walk i, and DOT draws each edge between those numbers
-        tree = compile_mission(build_keydoor(), MissionConfig(t_task_max=60, theta=1))
+        tree = compile_mission(build_keydoor(), MissionConfig(theta=1))
         nodes = list(iter_nodes(tree))
         index = {node: i for i, node in enumerate(nodes)}
 
@@ -172,11 +166,11 @@ class TestCompileMission:
                 "(F task(home, post=Home, pre=Cheese, gc=!Fire))")
         tree = compile_mission(parse_mission(text, GRID), CFG)
         dot = export_dot(tree)
-        # root, two Finally decorators and home's precondition latch
-        # (cheese's precondition is True, so it has no latch)
-        assert dot.count("shape=diamond") == 4
+        # two Finally decorators and home's precondition latch (cheese's
+        # precondition is True, so it has no latch)
+        assert dot.count("shape=diamond") == 3
         assert dot.count("◇ F") == 2
-        assert "◇ root" in dot
+        assert dot.count("◇ latch") == 1
 
 
 def action_nodes(tree):
@@ -206,29 +200,31 @@ class TestActionNodes:
             [("m", ltlf.Atom("P"))] * 2
 
     @pytest.mark.parametrize("scenario", ["c2h", "keydoor"])
-    def test_compiled_action_carries_its_task(self, scenario):
+    def test_compiled_action_carries_its_task(self, scenario, monkeypatch):
         if scenario == "c2h":
             grid = GridConfig(p_in=0.8)
             expr = build_c2h(grid)
-            runtime = C2hRuntime(expr, grid, Policy(), 50)
-            tree, t_task_max, atoms = runtime.tree, 50, ("Cheese", "Fire", "Home")
+            tree = C2hRuntime(expr, grid, Policy(), 50).tree
+            atoms = ("Cheese", "Fire", "Home")
         else:
             expr = build_keydoor()
-            tree, t_task_max, atoms = _bt_mission(1, 60)[0], 60, sorted(KEYDOOR_ATOMS)
+            tree, atoms = _bt_mission(1)[0], sorted(KEYDOOR_ATOMS)
         specs = {spec.action: spec for spec in tasks_of(expr)}
         nodes = action_nodes(tree)
         assert sorted(n.binding for n in nodes) == sorted(specs)
         for node in nodes:
             spec = specs[node.binding]
             assert node.postcondition == spec.poc
-            assert node.t_task_max == t_task_max
             assert node.choose is not None
-            runner = MissionRunner(node)
+            # a chooser reads its episode's world; the status never does
+            monkeypatch.setattr(node, "choose", None)
             for row in itertools.product((False, True), repeat=len(atoms)):
                 state = dict(zip(atoms, row))
-                runner.state, runner.t = state, t_task_max
+                runner = MissionRunner(node)
+                runner.state = state
                 holds = ltlf.evaluate(spec.poc, ltlf.Trace([state], frozenset(atoms)), 0)
-                assert (node.tick(runner) is SUCCESS) == holds, (node.binding, state)
+                assert node.tick(runner) is (SUCCESS if holds else RUNNING), \
+                    (node.binding, state)
 
 
 class TestInlineActions:
@@ -271,13 +267,13 @@ GC_BREAKS_UNDER_POST = ("| (F task(t1, post=a, pre=b, gc=c, action=t1)) "
                         "(F task(t2, post=!a & !b & c, action=t2))")
 
 
-def hoisted_gc_task_tree(spec, cfg, choose=None):
+def hoisted_gc_task_tree(spec, choose=None):
     """``all(gc?, Selector(post, all(latch(pre)?, seq(tc?, action))))``: one
     gc check per task, which stops the latch ticking while gc is broken and
     post holds."""
     check = lambda prop: [] if prop == ltlf.TRUE else [Condition(prop)]
     group = lambda control, nodes: nodes[0] if len(nodes) == 1 else control(nodes)
-    action = ActionRunner(spec.action, spec.poc, cfg.t_task_max, choose)
+    action = ActionRunner(spec.action, spec.poc, choose)
     plan = group(Parallel, [*map(PreconditionLatch, check(spec.prc)),
                             group(Sequence, [*check(spec.tc), action])])
     return group(Parallel, [*check(spec.gc), Selector([Condition(spec.poc), plan])])
@@ -300,33 +296,31 @@ class TestFlatTemplateRunsAsThePapers:
     nested template gives."""
 
     def test_corpus_inclusion_reports(self, paper):
-        # t_task_max 2 makes the action and root budgets fire within bound 4
         extra = (parse_mission(GC_BREAKS_UNDER_POST, set(FUZZ_ATOMS)), 0)
         for expr, theta in [*fuzz_corpus(), extra]:
             formula = expand_mission(expr)
-            for t_task_max in (4, 2):
-                cfg = MissionConfig(t_task_max=t_task_max, theta=theta)
-                report = lambda: check_inclusion(
-                    compile_mission(expr, cfg), formula, set(FUZZ_ATOMS), 4).to_json()
-                assert report() == paper(report), (render_mission(expr), t_task_max)
+            cfg = MissionConfig(theta=theta)
+            report = lambda: check_inclusion(
+                compile_mission(expr, cfg), formula, set(FUZZ_ATOMS), 4).to_json()
+            assert report() == paper(report), render_mission(expr)
 
     def test_hoisting_gc_changes_a_report(self, monkeypatch):
         # the corpus comparison must be able to tell this template apart
         expr = parse_mission(GC_BREAKS_UNDER_POST, set(FUZZ_ATOMS))
         formula = expand_mission(expr)
 
-        def successes(t_task_max):
-            tree = compile_mission(expr, MissionConfig(t_task_max=t_task_max, theta=0))
+        def successes():
+            tree = compile_mission(expr, MissionConfig(theta=0))
             return check_inclusion(tree, formula, set(FUZZ_ATOMS), 4).n_bt_success_traces
 
-        flat = [successes(4), successes(2)]
+        flat = successes()
         monkeypatch.setattr(compiler, "compile_task", hoisted_gc_task_tree)
-        assert (flat, [successes(4), successes(2)]) == ([411, 99], [412, 97])
+        assert (flat, successes()) == (411, 412)
 
     def test_c2h_inclusion_report(self, paper):
         report = lambda: check_mission(build_c2h(), GRID, bound=4).to_json()
         assert report() == paper(report)
-        assert paper(lambda: node_count(compile_mission(build_c2h(), CFG))) == 32
+        assert paper(lambda: node_count(compile_mission(build_c2h(), CFG))) == 31
 
     def test_c2h_episodes(self, paper):
         grid = GridConfig(p_in=0.8)
@@ -348,14 +342,48 @@ class TestFlatTemplateRunsAsThePapers:
             _bt_mission.cache_clear()
 
     def test_no_true_check_and_no_one_child_or_nested_control_node(self):
-        trees = [compile_mission(expr, MissionConfig(4, theta))
+        trees = [compile_mission(expr, MissionConfig(theta=theta))
                  for expr, theta in fuzz_corpus()]
-        trees += [compile_mission(build_c2h(), CFG), _bt_mission(1, 60)[0]]
+        trees += [compile_mission(build_c2h(), CFG), _bt_mission(1)[0]]
         for node in (n for tree in trees for n in iter_nodes(tree)):
             assert not (isinstance(node, Condition) and node.prop == ltlf.TRUE)
             assert not (isinstance(node, ControlNode) and len(node.children) == 1)
         specs = [spec for expr, _ in fuzz_corpus() for spec in tasks_of(expr)]
         for spec in specs + tasks_of(build_c2h()) + tasks_of(build_keydoor()):
-            for node in iter_nodes(compile_task(spec, CFG)):
+            for node in iter_nodes(compile_task(spec)):
                 assert not any(type(child) is type(node) for child in node.children
                                if isinstance(node, ControlNode))
+
+
+class TestNoTickReadsTheClock:
+    """The trace bound is a run's only deadline: a tick's outcome is a
+    function of the runner's memory, the state and the choosers' draws,
+    never of the tick counter.  So a tree is a finite machine over
+    ``(latched, resets, state)``, and two runs on one stream agree however
+    far apart their counters start."""
+
+    @staticmethod
+    def trees():
+        for expr, theta in fuzz_corpus():
+            yield compile_mission(expr, MissionConfig(theta=theta)), sorted(FUZZ_ATOMS)
+        # choosers that draw on the run's rng, so ``pending`` moves too
+        draw = lambda state, rng: rng.randrange(4)
+        c2h = build_c2h()
+        yield (compile_mission(c2h, CFG, choose={t.action: draw for t in tasks_of(c2h)}),
+               sorted(GRID))
+        yield _bt_mission(1)[0], sorted(KEYDOOR_ATOMS)
+
+    @staticmethod
+    def run(tree, atoms, seed, t):
+        states, runner = random.Random(seed), MissionRunner(tree, rng=random.Random(-seed))
+        runner.t = t
+        steps = []
+        for _ in range(12):
+            status = runner.tick_once({a: states.random() < 0.5 for a in atoms})
+            steps.append((status, set(runner.latched), dict(runner.resets), runner.pending))
+        return steps
+
+    def test_runs_agree_from_any_start_tick(self):
+        for i, (tree, atoms) in enumerate(self.trees()):
+            for seed in range(4 * i, 4 * i + 4):
+                assert self.run(tree, atoms, seed, 0) == self.run(tree, atoms, seed, 10**6)

@@ -89,7 +89,8 @@ class TestTrials:
         assert result["success"] is False
 
     def test_long_trial_audits_at_default_recursion_limit(self):
-        # a 1,201-state successful trace, audited within 1,000 frames
+        # a 1,201-state successful trace, audited within 1,000 frames;
+        # t_task_max is accepted and unused, as perfbench's long trials pass it
         script = ScenarioScript(durations={"key": 400, "door": 400, "prize": 400},
                                 t_task_max=2000, max_trace=2000)
         with recursion_limit(1000):
@@ -105,10 +106,10 @@ class TestTrials:
     def test_shared_tree_carries_no_state_between_trials(self):
         # the trials share one compiled tree; a trial that resets must
         # leave nothing behind for the next one
-        script = ScenarioScript(theta=2, t_task_max=45)
+        script = ScenarioScript(theta=2)
         first = run_bt_trial(script)
         disturbed = run_bt_trial(ScenarioScript(
-            theta=2, t_task_max=45, perturbation=Perturbation("door")))
+            theta=2, perturbation=Perturbation("door")))
         assert disturbed["resets"] == 1
         assert run_bt_trial(script) == first
 

@@ -138,5 +138,5 @@ def test_the_tick_scan_sees_every_store_form(tmp_path):
 
 def test_bt_tick_methods_keep_no_state_on_the_node():
     ticks, lines = tick_self_writes(SRC / "bt.py")
-    assert ticks == 7
+    assert ticks == 6
     assert lines == [], f"tick assigns to self at bt.py lines {lines}"

@@ -266,7 +266,7 @@ class TestNesting:
         alpha = mission_alphabet(expr, frozenset(alphabet))
         state = {name: True for name in alpha}
         assert ltlf.evaluate(formula, ltlf.Trace([state], alpha)) in (True, False)
-        cfg = MissionConfig(t_task_max=5, theta=1, alphabet=frozenset(alphabet))
+        cfg = MissionConfig(theta=1, alphabet=frozenset(alphabet))
         tree = bind_scripted(compile_mission(expr, cfg), expr, cfg)
         assert bt.MissionRunner(tree).tick_once({"a": True}) in bt.Status
         inlined = inline_actions(formula, tree)

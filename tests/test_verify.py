@@ -156,7 +156,7 @@ class TestCheckInclusion:
 
     def test_stripping_gc_makes_it_unsound(self):
         expr = single_task_mission()
-        cfg = MissionConfig(t_task_max=4, theta=0, alphabet=frozenset(ABC))
+        cfg = MissionConfig(theta=0, alphabet=frozenset(ABC))
         tree = bind_scripted(compile_mission(expr, cfg), expr, cfg)
         gc = expr.spec.gc
         assert strip_conditions(tree, gc) == 2
@@ -187,7 +187,7 @@ class TestCheckInclusion:
 
     def test_action_with_a_chooser_is_refused(self):
         expr = single_task_mission()
-        tree = compile_mission(expr, MissionConfig(t_task_max=4, theta=1),
+        tree = compile_mission(expr, MissionConfig(theta=1),
                                choose={"t": lambda state, rng: None})
         with pytest.raises(UnscriptedAction):
             check_inclusion(tree, expand_mission(expr), ABC, bound=3)
@@ -207,10 +207,9 @@ class TestLayeredSearchMatchesStreams:
     ticks and audits every stream on its own.  Their counts must agree,
     and every counterexample listed must be a real one."""
 
-    def agree(self, expr, alphabet, bound, theta=1, t_task_max=None, tree=None):
+    def agree(self, expr, alphabet, bound, theta=1, tree=None):
         formula = expand_mission(expr)
-        cfg = MissionConfig(t_task_max=t_task_max or bound, theta=theta)
-        tree = tree or compile_mission(expr, cfg)
+        tree = tree or compile_mission(expr, MissionConfig(theta=theta))
         report = check_inclusion(tree, formula, alphabet, bound)
         oracle = check_streams(tree, formula, alphabet, bound)
         counts = (report.n_bt_success_traces, report.n_violations)
@@ -238,10 +237,9 @@ class TestLayeredSearchMatchesStreams:
         expr = ms.parse_mission(C2H_TEXT, C2H_ATOMS)
         assert self.agree(expr, C2H_ATOMS, 4) == (253, 0)
 
-    @pytest.mark.parametrize("t_task_max", [4, 2])
-    def test_gc_breaks_under_post(self, t_task_max):
+    def test_gc_breaks_under_post(self):
         expr = ms.parse_mission(GC_BREAKS_UNDER_POST, set(FUZZ_ATOMS))
-        self.agree(expr, set(FUZZ_ATOMS), 4, theta=0, t_task_max=t_task_max)
+        self.agree(expr, set(FUZZ_ATOMS), 4, theta=0)
 
     @pytest.mark.parametrize("bound, counts", [(3, (52, 16)), (4, (160, 61)),
                                                (5, (484, 206))])
@@ -252,7 +250,7 @@ class TestLayeredSearchMatchesStreams:
 
     def test_stripped_gc_mutant(self):
         expr = single_task_mission()
-        tree = compile_mission(expr, MissionConfig(t_task_max=4, theta=0))
+        tree = compile_mission(expr, MissionConfig(theta=0))
         strip_conditions(tree, expr.spec.gc)
         assert self.agree(expr, ABC, 4, tree=tree)[1] >= 1
 
@@ -305,7 +303,7 @@ class TestInlinedActions:
         rng = random.Random(61)
         missions = [random_sound_mission(rng, ["a", "b", "c"]) for _ in range(40)]
         missions.append(counterexample_mission(["a", "b", "c"]))
-        cfg = MissionConfig(t_task_max=5, theta=1, alphabet=frozenset(ABC))
+        cfg = MissionConfig(theta=1, alphabet=frozenset(ABC))
         for expr in missions:
             formula = expand_mission(expr)
             inlined = inline_actions(formula, compile_mission(expr, cfg))
