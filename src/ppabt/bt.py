@@ -6,12 +6,13 @@ Conditions never return Running.  The ``MissionRunner`` is the tick
 context: every node ticks against it and reads the current state and
 the random source from it.  It also owns the only node memory, the set
 of latched decorators and the Finally reset counts, keyed by node:
-nodes hold structure only and carry no ids.  So a whole execution can
-be snapshotted and restored, and one tree can serve any number of runs.
-No tick branches on the tick counter: the trace bound is a run's only
-deadline, and a tick's outcome is a function of the memory, the state
-and the choosers' draws.  States are recorded as the environment gave
-them; formulas are read through ``ltlf`` alone.
+nodes hold structure only and carry no ids.  ``snapshot`` gives that
+memory as one hashable value and ``restore`` takes it back, so one tree
+can serve any number of runs.  The runner keeps no clock and no trace
+(``run_to_completion`` records the trace): the trace bound is a run's
+only deadline, and a tick's outcome is a function of the memory, the
+state and the choosers' draws.  Formulas are read through ``ltlf``
+alone.
 
 Every node lists its ``children`` (none on leaves) and describes itself
 to the writers: ``kind`` names it in JSON, ``symbol`` and ``shape`` draw
@@ -161,7 +162,7 @@ class ActionRunner(BtNode):
         if env_action is not None:
             if ctx.pending is not None:
                 raise ConcurrentActionConflict(
-                    f"{self.binding!r} and {ctx.pending[0]!r} both fired at tick {ctx.t}")
+                    f"{self.binding!r} and {ctx.pending[0]!r} both fired in one tick")
             ctx.pending = (self.binding, env_action)
         return RUNNING
 
@@ -223,19 +224,17 @@ def iter_nodes(tree: BtNode) -> Iterator[BtNode]:
 # ---------------------------------------------------------------------------
 # Execution
 
-Snapshot = tuple[frozenset[FinallyReset], dict[FinallyReset, int], int, int]
+Memory = tuple[frozenset[FinallyReset], frozenset[tuple[FinallyReset, int]]]
 
 
 class MissionRunner:
     """One execution, and the context every node ticks against.
 
-    Holds the current ``state``, the tick counter ``t``, ``rng``, the
-    ``pending`` environment action, the trace and the node memory:
-    ``latched``, the Finally nodes (latches too) stuck at Success, and
-    ``resets``, Finally node -> resets used.  A reset clears latches, not
-    reset counts, so an ancestor's reset does not re-arm a budget.  Each
-    state is kept as given, uncopied, so the trace holds exactly the
-    environment's atoms; nothing may mutate a state once it is ticked.
+    Holds the current ``state``, ``rng``, the ``pending`` environment
+    action and the node memory: ``latched``, the Finally nodes (latches
+    too) stuck at Success, and ``resets``, Finally node -> resets used.
+    A reset clears latches, not reset counts, so an ancestor's reset does
+    not re-arm a budget.
     """
 
     def __init__(self, tree: BtNode, rng: Random | None = None):
@@ -244,31 +243,24 @@ class MissionRunner:
         self.latched: set[FinallyReset] = set()
         self.resets: dict[FinallyReset, int] = {}
         self.state: StateVector = {}
-        self.t = 0
-        self.trace_states: list[StateVector] = []
         self.pending: tuple[str, object] | None = None
 
     def tick_once(self, env_state: StateVector) -> Status:
         self.state = env_state
-        self.trace_states.append(env_state)
         self.pending = None
-        status = self.tree.tick(self)
-        self.t += 1
-        return status
+        return self.tree.tick(self)
 
     def total_resets(self) -> int:
         """Resets issued so far by all Finally decorators."""
         return sum(self.resets.values())
 
-    def snapshot(self) -> Snapshot:
-        """Latches, reset counts, tick counter and trace length."""
-        return (frozenset(self.latched), dict(self.resets), self.t,
-                len(self.trace_states))
+    def snapshot(self) -> Memory:
+        """The node memory as one hashable value: latches and reset counts."""
+        return frozenset(self.latched), frozenset(self.resets.items())
 
-    def restore(self, snap: Snapshot) -> None:
-        latched, resets, self.t, n_states = snap
+    def restore(self, memory: Memory) -> None:
+        latched, resets = memory
         self.latched, self.resets = set(latched), dict(resets)
-        del self.trace_states[n_states:]
 
 
 def run_to_completion(tree: BtNode, env, max_trace: int,
@@ -279,20 +271,25 @@ def run_to_completion(tree: BtNode, env, max_trace: int,
     the root, then apply the env transition requested by the active
     action node (None when no action fired).  Stops on Success/Failure
     or when the trace reaches ``max_trace`` states (reported as
-    Failure: the formula was not satisfied within the bound).
+    Failure: the formula was not satisfied within the bound).  Each
+    state is kept as given, uncopied, so the trace holds exactly the
+    environment's atoms; nothing may mutate a state once it is ticked.
 
     Returns (status, trace_states, runner).
     """
     runner = MissionRunner(tree, rng=rng)
+    trace = []
     while True:
-        status = runner.tick_once(env.propositions())
+        state = env.propositions()
+        trace.append(state)
+        status = runner.tick_once(state)
         if status is not RUNNING:
             break
-        if len(runner.trace_states) >= max_trace:
+        if len(trace) >= max_trace:
             status = FAILURE
             break
         env.apply(runner.pending[1] if runner.pending else None)
-    return status, runner.trace_states, runner
+    return status, trace, runner
 
 
 # ---------------------------------------------------------------------------

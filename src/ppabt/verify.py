@@ -147,12 +147,12 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
     enumerated.  Every Success outcome's trace must satisfy the formula.
 
     The search runs one layer per tick.  A layer maps each key
-    ``(latched, resets, residual)`` its streams reach to their number, a
-    snapshot of the runner and the first of them found, the witness.  A
-    scripted tree's tick reads only its memory and the state, and the
-    residual settles the verdict of every continuation; so the streams
-    of one key tick alike and their audits agree.  Counterexamples come
-    out shortest first, one per class.
+    ``(runner.snapshot(), residual)`` its streams reach to their number
+    and the first of them found, the witness.  A scripted tree's tick
+    reads only its memory and the state, and the residual settles the
+    verdict of every continuation; so the streams of one key tick alike
+    and their audits agree.  Counterexamples come out shortest first,
+    one per class.
     """
     names = _guard(alphabet, bound)
     if any(isinstance(node, bt.ActionRunner) and node.choose
@@ -165,29 +165,26 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
     runner = bt.MissionRunner(tree)
     trace_alpha = frozenset(names)
     progression = ltlf.Progression(formula)
-    layer = {(frozenset(), frozenset(), progression.start): [1, runner.snapshot(), ()]}
+    layer = {(runner.snapshot(), progression.start): [1, ()]}
     for depth in range(bound):
         following = {}
-        for (_, _, residual), (count, snap, prefix) in layer.items():
+        for (memory, residual), (count, prefix) in layer.items():
             for valuation in valuations:
-                runner.restore(snap)
+                runner.restore(memory)
                 status = runner.tick_once(valuation)
                 if status is bt.SUCCESS:
                     report.n_bt_success_traces += count
-                    # the runner's trace may hold another stream's states
-                    # after a restore; the valuations are shared, only read
+                    # the valuations are shared by every stream, only read
                     states = [*prefix, valuation]
                     if not evaluate(formula, Trace(states, trace_alpha), 0):
                         report.n_violations += count
                         if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
                             report.counterexamples.append(states)
                 elif status is bt.RUNNING and depth + 1 < bound:
-                    after = progression.step(residual, valuation)
-                    key = (frozenset(runner.latched),
-                           frozenset(runner.resets.items()), after)
+                    key = (runner.snapshot(), progression.step(residual, valuation))
                     entry = following.get(key)
                     if entry is None:
-                        following[key] = [count, runner.snapshot(), (*prefix, valuation)]
+                        following[key] = [count, (*prefix, valuation)]
                     else:
                         entry[0] += count
         layer = following

@@ -218,22 +218,21 @@ def check_streams(tree, formula, alphabet, bound):
     runner = bt.MissionRunner(tree)
     trace_alpha = frozenset(names)
 
-    def visit(depth):
-        # every valuation ticks from the same pre-tick state; restore
-        # copies the snapshot's memory, so one snapshot serves them all
-        snap = runner.snapshot()
+    def visit(prefix):
+        # every valuation ticks from the same pre-tick memory
+        memory = runner.snapshot()
         for valuation in valuations:
             status = runner.tick_once(valuation)
+            states = [*prefix, valuation]
             if status is bt.SUCCESS:
                 report.n_bt_success_traces += 1
-                states = list(runner.trace_states)
                 if not ltlf.evaluate(formula, ltlf.Trace(states, trace_alpha), 0):
                     report.n_violations += 1
                     if len(report.counterexamples) < MAX_COUNTEREXAMPLES:
                         report.counterexamples.append(states)
-            elif status is bt.RUNNING and depth + 1 < bound:
-                visit(depth + 1)
-            runner.restore(snap)
+            elif status is bt.RUNNING and len(states) < bound:
+                visit(states)
+            runner.restore(memory)
 
-    visit(0)
+    visit([])
     return report

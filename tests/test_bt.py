@@ -19,11 +19,11 @@ from ppabt.verify import audit_trace
 A = ltlf.Atom
 
 
-def tick_tree(tree, state, runner=None, t=0):
-    """Tick ``tree`` once at ``state`` and tick ``t``, against ``runner``
-    (a fresh ``MissionRunner(tree)`` unless one is passed to keep memory)."""
+def tick_tree(tree, state, runner=None):
+    """Tick ``tree`` once at ``state``, against ``runner`` (a fresh
+    ``MissionRunner(tree)`` unless one is passed to keep memory)."""
     runner = runner if runner is not None else MissionRunner(tree)
-    runner.state, runner.t, runner.pending = state, t, None
+    runner.state, runner.pending = state, None
     return tree.tick(runner), runner
 
 
@@ -317,15 +317,15 @@ class TestActionContract:
         expr = parse_mission("& task(a, post=Cheese) task(b, post=Home)", GRID)
         tree = compile_mission(expr, CFG, choose={"a": always_move, "b": always_move})
         env = StaticEnv(GRID, [{}])
-        with pytest.raises(ConcurrentActionConflict):
+        with pytest.raises(ConcurrentActionConflict,
+                           match="^'b' and 'a' both fired in one tick$"):
             run_to_completion(tree, env, max_trace=5)
 
     def test_runner_success_exactly_when_post_holds(self):
         # the node keeps no clock: only the trace bound ends a run
         act = ActionRunner("x", A("p"))
-        for t in (0, 3, 4, 10**6):
-            assert tick_tree(act, {"p": True}, t=t)[0] is SUCCESS
-            assert tick_tree(act, {"p": False}, t=t)[0] is RUNNING
+        assert tick_tree(act, {"p": True})[0] is SUCCESS
+        assert tick_tree(act, {"p": False})[0] is RUNNING
 
 
 class TestSerialization:
@@ -364,10 +364,11 @@ class TestSerialization:
         runner = MissionRunner(tree)
         runner.tick_once({"Cheese": False, "Fire": False, "Home": False})
         snap = runner.snapshot()
+        assert hash(snap) == hash(runner.snapshot())  # one hashable value
         runner.tick_once({"Cheese": False, "Fire": True, "Home": False})
+        assert runner.snapshot() != snap     # the Fire tick reset the task
         runner.restore(snap)
-        assert runner.t == 1
-        assert len(runner.trace_states) == 1
+        assert runner.snapshot() == snap
         status = runner.tick_once({"Cheese": True, "Fire": False, "Home": False})
         assert status is SUCCESS
 
@@ -378,9 +379,8 @@ class TestResetCounts:
         runner = MissionRunner(tree)
         env = StaticEnv(GRID, [{}, {"Fire": True}, {}, {"Cheese": True}])
         counts = []
-        for t, state in enumerate(env.states):
+        for state in env.states:
             runner.tick_once(state)
-            assert runner.t == len(runner.trace_states) == t + 1
             counts.append(runner.total_resets())
         assert counts == [0, 1, 1, 1]  # the Fire tick reset the task
 
@@ -404,4 +404,3 @@ class TestResetCounts:
             assert runner.latched > latched  # the Finally decorator latched too
             runner.restore(snap)
             assert runner.latched == latched
-        assert (runner.t, len(runner.trace_states)) == (1, 1)

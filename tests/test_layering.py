@@ -8,7 +8,9 @@ place.
 The tick engine ``ppabt.bt`` reads formulas through ``ltlf`` alone and
 knows nothing of the mission language.  No ``tick`` method in
 ``ppabt.bt`` assigns to an attribute of ``self``: a run's memory lives
-in its ``MissionRunner``, so one tree serves any number of runs.  The
+in its ``MissionRunner``, so one tree serves any number of runs, and
+no other module reads or writes a runner's ``latched`` or ``resets``:
+the memory's encoding, ``snapshot``, is decided in ``bt`` alone.  The
 checks read the source with ``ast``, so an import inside a function
 counts as well.
 """
@@ -57,11 +59,11 @@ def test_layer_imports_only_below_it(module, allowed):
 NESTING_COUNTS = {"depth", "parens"}
 
 
-def nesting_count_uses(path: Path) -> list[int]:
-    """Lines where the file reads, writes or deletes an attribute named
-    ``depth`` or ``parens``, on any object."""
+def attribute_uses(path: Path, names: set[str]) -> list[int]:
+    """Lines where the file reads, writes or deletes an attribute whose
+    name is in ``names``, on any object."""
     return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, ast.Attribute) and node.attr in NESTING_COUNTS)
+                  if isinstance(node, ast.Attribute) and node.attr in names)
 
 
 def test_the_nesting_scan_sees_every_use(tmp_path):
@@ -75,13 +77,19 @@ def test_the_nesting_scan_sees_every_use(tmp_path):
         "del cur.depth\n"
         "cur.max_depth = cur.depths = depth\n"
         "y = {'depth': 1}\n")
-    assert nesting_count_uses(probe) == [2, 3, 4, 5, 6]
+    assert attribute_uses(probe, NESTING_COUNTS) == [2, 3, 4, 5, 6]
 
 
 def test_only_ltlf_counts_nesting():
     users = {path.stem: lines for path in SRC.glob("*.py")
-             if (lines := nesting_count_uses(path))}
+             if (lines := attribute_uses(path, NESTING_COUNTS))}
     assert set(users) == {"ltlf"}, f"nesting counts used outside ltlf: {users}"
+
+
+def test_only_bt_touches_a_runners_memory():
+    users = {path.stem: lines for path in SRC.glob("*.py")
+             if (lines := attribute_uses(path, {"latched", "resets"}))}
+    assert set(users) == {"bt"}, f"runner memory touched outside bt: {users}"
 
 
 def _writes_self(target: ast.expr) -> bool:

@@ -168,20 +168,25 @@ class TestCheckInclusion:
             assert evaluate_reference(expand_mission(expr),
                                       Trace(states, alpha), 0) is False
 
-    def test_one_snapshot_per_prefix(self, monkeypatch):
-        calls = []
-        snapshot = bt.MissionRunner.snapshot
+    def test_one_restore_per_key_and_valuation(self, monkeypatch):
+        calls = {"snapshot": 0, "restore": 0}
 
-        def counted(runner):
-            calls.append(1)
-            return snapshot(runner)
+        def counted(name):
+            method = getattr(bt.MissionRunner, name)
 
-        monkeypatch.setattr(bt.MissionRunner, "snapshot", counted)
+            def count(runner, *args):
+                calls[name] += 1
+                return method(runner, *args)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(bt.MissionRunner, name, counted(name))
         expr = ms.parse_mission(C2H_TEXT, C2H_ATOMS)
         report = check_mission(expr, C2H_ATOMS, bound=4)
-        # one snapshot per distinct key (the start's included), not one per
-        # explored prefix (168) or per valuation (1,344)
-        assert len(calls) == 36
+        # each distinct key (the start's included) is restored once per
+        # valuation: 36 keys x 8, not once per explored prefix (168 x 8);
+        # the key is the snapshot, taken at the start and per Running tick
+        assert calls == {"snapshot": 86, "restore": 288}
         assert report.n_bt_success_traces == 253
         assert report.n_violations == 0
 
