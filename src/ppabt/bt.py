@@ -3,16 +3,17 @@
 Control nodes are reactive: sequence and selector re-evaluate their
 children from the left on every tick, parallel ticks all children.
 Conditions never return Running.  The ``MissionRunner`` is the tick
-context: every node ticks against it and reads the current state and
-the random source from it.  It also owns the only node memory, the set
-of latched decorators and the Finally reset counts, keyed by node:
-nodes hold structure only and carry no ids.  ``snapshot`` gives that
-memory as one hashable value and ``restore`` takes it back, so one tree
-can serve any number of runs.  The runner keeps no clock and no trace
-(``run_to_completion`` records the trace): the trace bound is a run's
-only deadline, and a tick's outcome is a function of the memory, the
-state and the choosers' draws.  Formulas are read through ``ltlf``
-alone.
+context: every node ticks against it and reads the current state from
+it.  It also owns the only node memory, the set of latched decorators
+and the Finally reset counts, keyed by node: nodes hold structure only
+and carry no ids.  ``snapshot`` gives that memory as one hashable value
+and ``restore`` takes it back, so one tree can serve any number of
+runs.  The runner keeps no clock, no trace and no random source: a
+tick's outcome is a function of the memory and the state.  An action
+node with a chooser only claims the tick it runs in; the run loop
+(``run_to_completion``) calls that chooser and applies its action, and
+records the trace, whose bound is a run's only deadline.  Formulas are
+read through ``ltlf`` alone.
 
 Every node lists its ``children`` (none on leaves) and describes itself
 to the writers: ``kind`` names it in JSON, ``symbol`` and ``shape`` draw
@@ -24,7 +25,6 @@ by its preorder index.
 from __future__ import annotations
 
 from enum import Enum
-from random import Random
 from typing import Callable, Iterator
 
 from .ltlf import Formula, StateVector, compile_prop, formula_to_json
@@ -46,7 +46,9 @@ class BtError(Exception):
 
 
 class ConcurrentActionConflict(BtError):
-    """Two action nodes tried to drive the environment in one tick."""
+    """Two action nodes with choosers claimed one tick: raised while
+    ticking, before any chooser runs, so also under ``check_inclusion``
+    and whatever the choosers would return, ``None`` included."""
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +135,16 @@ class Condition(BtNode):
         return SUCCESS if self._fn(ctx.state) else FAILURE
 
 
-Chooser = Callable[[StateVector, Random], object]
+Chooser = Callable[[StateVector], object]
 
 
 class ActionRunner(BtNode):
     """Action node: Success exactly when its task's postcondition holds,
-    Running otherwise.  While it runs, ``choose(state, rng)`` may return
-    one environment action to request; a node without ``choose`` is
-    scripted.  It keeps no clock: the trace bound ends a run that never
-    succeeds.
+    Running otherwise.  A running node with a ``choose`` claims the tick
+    (``ctx.pending``), and the run loop calls ``choose(state)`` for the
+    environment action (``None`` for none); a node without ``choose`` is
+    scripted.  Choosers own their randomness.  The node keeps no clock:
+    the trace bound ends a run that never succeeds.
     """
 
     kind = "action"
@@ -158,12 +161,11 @@ class ActionRunner(BtNode):
     def tick(self, ctx):
         if self.post_fn(ctx.state):
             return SUCCESS
-        env_action = self.choose(ctx.state, ctx.rng) if self.choose else None
-        if env_action is not None:
+        if self.choose:
             if ctx.pending is not None:
                 raise ConcurrentActionConflict(
-                    f"{self.binding!r} and {ctx.pending[0]!r} both fired in one tick")
-            ctx.pending = (self.binding, env_action)
+                    f"{self.binding!r} and {ctx.pending.binding!r} both fired in one tick")
+            ctx.pending = self
         return RUNNING
 
 
@@ -230,20 +232,19 @@ Memory = tuple[frozenset[FinallyReset], frozenset[tuple[FinallyReset, int]]]
 class MissionRunner:
     """One execution, and the context every node ticks against.
 
-    Holds the current ``state``, ``rng``, the ``pending`` environment
-    action and the node memory: ``latched``, the Finally nodes (latches
-    too) stuck at Success, and ``resets``, Finally node -> resets used.
-    A reset clears latches, not reset counts, so an ancestor's reset does
-    not re-arm a budget.
+    Holds the current ``state``, the ``pending`` action node that claimed
+    this tick (``None`` if none did) and the node memory: ``latched``,
+    the Finally nodes (latches too) stuck at Success, and ``resets``,
+    Finally node -> resets used.  A reset clears latches, not reset
+    counts, so an ancestor's reset does not re-arm a budget.
     """
 
-    def __init__(self, tree: BtNode, rng: Random | None = None):
+    def __init__(self, tree: BtNode):
         self.tree = tree
-        self.rng = rng if rng is not None else Random(0)
         self.latched: set[FinallyReset] = set()
         self.resets: dict[FinallyReset, int] = {}
         self.state: StateVector = {}
-        self.pending: tuple[str, object] | None = None
+        self.pending: ActionRunner | None = None
 
     def tick_once(self, env_state: StateVector) -> Status:
         self.state = env_state
@@ -263,32 +264,33 @@ class MissionRunner:
         self.latched, self.resets = set(latched), dict(resets)
 
 
-def run_to_completion(tree: BtNode, env, max_trace: int,
-                      rng: Random | None = None):
+def run_to_completion(tree: BtNode, env, max_trace: int):
     """Run the tree against an environment until it halts.
 
     Per tick: read the environment state, record it on the trace, tick
-    the root, then apply the env transition requested by the active
-    action node (None when no action fired).  Stops on Success/Failure
-    or when the trace reaches ``max_trace`` states (reported as
-    Failure: the formula was not satisfied within the bound).  Each
-    state is kept as given, uncopied, so the trace holds exactly the
-    environment's atoms; nothing may mutate a state once it is ticked.
+    the root, call the chooser of the action node that claimed the tick
+    (also on the run's last tick), then apply its action (None when no
+    node claimed the tick).  Stops on Success/Failure or when the trace
+    reaches ``max_trace`` states (reported as Failure: the formula was
+    not satisfied within the bound).  Each state is kept as given,
+    uncopied, so the trace holds exactly the environment's atoms;
+    nothing may mutate a state once it is ticked.
 
     Returns (status, trace_states, runner).
     """
-    runner = MissionRunner(tree, rng=rng)
+    runner = MissionRunner(tree)
     trace = []
     while True:
         state = env.propositions()
         trace.append(state)
         status = runner.tick_once(state)
+        action = runner.pending.choose(state) if runner.pending else None
         if status is not RUNNING:
             break
         if len(trace) >= max_trace:
             status = FAILURE
             break
-        env.apply(runner.pending[1] if runner.pending else None)
+        env.apply(action)
     return status, trace, runner
 
 

@@ -13,7 +13,7 @@ The task succeeds as the postcondition holds under the global constraint
 or as the plan runs (precondition latched, task constraint held).
 
 Each action node is built whole, with its task's postcondition and its
-chooser from the ``choose`` map (action name -> ``choose(state, rng)``);
+chooser from the ``choose`` map (action name -> ``choose(state)``);
 an action missing from the map is scripted.  Tasks that share an action
 must share its postcondition: ``inline_actions`` substitutes it for the
 reserved ``__action_<m>`` atom.

@@ -146,7 +146,7 @@ def _bt_mission(theta: int):
     shared by every trial: node memory lives in each run's MissionRunner."""
     expr = build_keydoor()
     tree = compile_mission(expr, MissionConfig(theta=theta), choose={
-        task.action: lambda state, rng, stage=task.action: stage
+        task.action: lambda state, stage=task.action: stage
         for task in tasks_of(expr)})
     return tree, inline_actions(expand_mission(expr), tree)
 

@@ -244,7 +244,8 @@ class C2hRuntime:
 
     The mission's tasks, in text order, take the phases in PHASES: the
     first task's action samples from phase C, the second from phase H,
-    keyed by the mouse cell of the episode's grid ``env``.  Each sampled
+    keyed by the mouse cell of the episode's grid ``env`` and drawn from
+    that grid's ``rng``, the episode's one random source.  Each sampled
     (state, action) pair is recorded with its phase for the end-of-episode
     update.  Traces hold the grid's atoms; ``formula`` inlines the actions.
     """
@@ -269,20 +270,18 @@ class C2hRuntime:
         policy = self.policy
         pairs = self.pairs
 
-        def choose(state, rng):
+        def choose(state):
             key = cell_key(self.env.state.mouse_cell)
-            action = policy.sample(key, phase, rng)
+            action = policy.sample(key, phase, self.env.rng)
             pairs.append((key, action, phase))
             return action
 
         return choose
 
     def run_episode(self, seed: int, start_cell=None) -> tuple[bt.Status, list, EpisodeRecord]:
-        rng = Random(seed)
-        self.env = gw.GridEnv(self.grid_cfg, rng, start_cell=start_cell)
+        self.env = gw.GridEnv(self.grid_cfg, Random(seed), start_cell=start_cell)
         self.pairs.clear()
-        status, trace_states, _ = bt.run_to_completion(
-            self.tree, self.env, self.max_trace, rng=rng)
+        status, trace_states, _ = bt.run_to_completion(self.tree, self.env, self.max_trace)
         b = 1 if status is bt.SUCCESS else -1
         record = EpisodeRecord([(key, action) for key, action, _ in self.pairs], b,
                                [phase for _, _, phase in self.pairs])

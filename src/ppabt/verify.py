@@ -3,14 +3,15 @@
 The claim under test: whenever a compiled tree reports Success, the
 recorded trace satisfies the mission's goal formula.  ``check_inclusion``
 drives a tree through every proposition stream up to a length bound
-(actions replaced by scripted proposition evolution) and audits every
-successful run, each reserved action proposition read as its task's
-postcondition.  It is bounded model checking (Biere et al., TACAS 1999)
-with formula progression in place of an automaton: one layer per tick,
-where the streams that reach the same tree memory and formula residual
-are merged and counted by multiplicity, so each class ticks once per
-valuation and audits one witness.  The counts are those of ticking and
-auditing every stream on its own.
+(the streams stand in for the world, so any tree can be checked and no
+chooser is called) and audits every successful run, each reserved
+action proposition read as its task's postcondition.  It is bounded
+model checking (Biere et al., TACAS 1999) with formula progression in
+place of an automaton: one layer per tick, where the streams that
+reach the same tree memory and formula residual are merged and counted
+by multiplicity, so each class ticks once per valuation and audits one
+witness.  The counts are those of ticking and auditing every stream on
+its own.
 
 ``evaluate_reference`` is a second, deliberately naive evaluator written
 straight from the satisfaction relation with explicit quantifier loops
@@ -51,12 +52,6 @@ FUZZ_ATOMS = ("a", "b", "c")
 
 class BoundTooLarge(Exception):
     pass
-
-
-class UnscriptedAction(Exception):
-    """An action node with a ``choose`` was given to ``check_inclusion``,
-    whose merging of streams assumes every tick reads only the tree's
-    memory and the state."""
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +136,22 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
                     bound: int) -> InclusionReport:
     """Run the tree on every proposition stream up to the length bound.
 
-    The tree's action nodes must be scripted (no ``choose``): the streams
-    stand in for the world.  The reserved action propositions of
+    Any tree will do: the streams stand in for the world, so no chooser
+    is called, and an action node that claims a tick only reports
+    Running (two claims in one tick still raise
+    ``ConcurrentActionConflict``).  The reserved action propositions of
     ``formula`` are inlined from the nodes' postconditions, not
     enumerated.  Every Success outcome's trace must satisfy the formula.
 
     The search runs one layer per tick.  A layer maps each key
     ``(runner.snapshot(), residual)`` its streams reach to their number
-    and the first of them found, the witness.  A scripted tree's tick
-    reads only its memory and the state, and the residual settles the
-    verdict of every continuation; so the streams of one key tick alike
-    and their audits agree.  Counterexamples come out shortest first,
-    one per class.
+    and the first of them found, the witness.  A tick reads only the
+    tree's memory and the state, and the residual settles the verdict
+    of every continuation; so the streams of one key tick alike and
+    their audits agree.  Counterexamples come out shortest first, one
+    per class.
     """
     names = _guard(alphabet, bound)
-    if any(isinstance(node, bt.ActionRunner) and node.choose
-           for node in bt.iter_nodes(tree)):
-        raise UnscriptedAction("check_inclusion needs a tree whose action nodes are scripted")
     formula = inline_actions(formula, tree)
     valuations = [dict(zip(names, row))
                   for row in itertools.product((False, True), repeat=len(names))]

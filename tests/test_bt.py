@@ -1,5 +1,4 @@
 import itertools
-import random
 from types import MappingProxyType
 
 import pytest
@@ -13,7 +12,10 @@ from ppabt.bt import (
     iter_nodes, node_count, run_to_completion,
 )
 from ppabt.compiler import bind_scripted, compile_mission, compile_task, inline_actions
+from ppabt.gridworld import GridConfig
 from ppabt.mission import MissionConfig, Task, expand_mission, parse_mission, ppa_task
+from ppabt.missions import build_c2h
+from ppabt.planners import C2hRuntime, Policy
 from ppabt.verify import audit_trace
 
 A = ltlf.Atom
@@ -49,14 +51,14 @@ class TestControlNodes:
         assert right.ticks == 0
 
     def test_sequence_never_ticks_action_after_failing_condition(self):
-        act = ActionRunner("x", A("done"), choose=lambda s, r: "go")
+        act = ActionRunner("x", A("done"), choose=lambda s: "go")
         tree = Sequence([Condition(A("a")), act])
         status, ctx = tick_tree(tree, {"a": False, "done": False})
         assert status is FAILURE
-        assert ctx.pending is None  # the action would have requested "go"
+        assert ctx.pending is None  # the action would have claimed the tick
         status, ctx = tick_tree(tree, {"a": True, "done": False})
         assert status is RUNNING
-        assert ctx.pending == ("x", "go")
+        assert ctx.pending is act
 
     def test_parallel_status_table(self):
         # any failure wins, then all-success, otherwise running, whatever
@@ -165,7 +167,7 @@ class TestDecorators:
     def test_ancestor_reset_clears_descendant_memory(self):
         # inner Finally: one reset on tick 0, running on tick 1, success
         # on tick 2, where the failing stub makes the outer Finally reset
-        act = ActionRunner("x", A("done"), choose=lambda s, r: "go")
+        act = ActionRunner("x", A("done"), choose=lambda s: "go")
         inner = FinallyReset(Sequence([Condition(A("ok")), act]), theta=2)
         outer = FinallyReset(Sequence([inner, StubNode([FAILURE])]), theta=1)
         runner = MissionRunner(outer)
@@ -298,8 +300,7 @@ class TestRunToCompletion:
         for _ in range(2):
             tree = scripted_task_tree(theta=1)
             env = StaticEnv(GRID, [{}, {"Fire": True}, {}, {"Cheese": True}])
-            status, trace, runner = run_to_completion(tree, env, max_trace=10,
-                                                      rng=random.Random(5))
+            status, trace, runner = run_to_completion(tree, env, max_trace=10)
             # the two trees are built apart: compare memory by preorder index
             index = {node: i for i, node in enumerate(iter_nodes(tree))}
             runs.append((status, trace, env.applied,
@@ -311,15 +312,48 @@ class TestRunToCompletion:
 
 class TestActionContract:
     def test_concurrent_actions_conflict(self):
-        def always_move(state, rng):
-            return "go"
-
         expr = parse_mission("& task(a, post=Cheese) task(b, post=Home)", GRID)
-        tree = compile_mission(expr, CFG, choose={"a": always_move, "b": always_move})
-        env = StaticEnv(GRID, [{}])
-        with pytest.raises(ConcurrentActionConflict,
-                           match="^'b' and 'a' both fired in one tick$"):
-            run_to_completion(tree, env, max_trace=5)
+        # the claims conflict whatever the choosers would return
+        for move in ("go", None):
+            tree = compile_mission(expr, CFG, choose={"a": lambda s: move, "b": lambda s: move})
+            env = StaticEnv(GRID, [{}])
+            with pytest.raises(ConcurrentActionConflict,
+                               match="^'b' and 'a' both fired in one tick$"):
+                run_to_completion(tree, env, max_trace=5)
+
+    def test_the_run_loop_calls_the_chooser_after_each_claimed_tick(self):
+        def refuse(state):
+            raise AssertionError("a tick called the chooser")
+
+        act = ActionRunner("x", A("Cheese"), choose=refuse)
+        runner = MissionRunner(act)
+        assert runner.tick_once({"Cheese": False}) is RUNNING  # it only claims
+        assert runner.pending is act
+        # once after every tick the action ran, the last one too: the Fire
+        # tick that fails the run and the tick at the trace bound
+        spec = ppa_task("t", post="Cheese", gc="!Fire", action="t", alphabet=GRID)
+        for rows, max_trace, status, calls in [([{}, {}, {"Fire": True}], 10, FAILURE, 3),
+                                               ([{}], 4, FAILURE, 4),
+                                               ([{}, {"Cheese": True}], 10, SUCCESS, 1)]:
+            seen = []
+            tree = compile_mission(Task(spec), CFG, choose={
+                "t": lambda state: seen.append(state) or len(seen)})
+            env = StaticEnv(GRID, rows)
+            result, trace, _ = run_to_completion(tree, env, max_trace)
+            assert result is status
+            assert seen == trace[:calls]
+            assert env.applied == list(range(1, len(trace)))
+        # the learner records one pair per claimed tick, however it ends
+        grid = GridConfig()
+        runtime = C2hRuntime(build_c2h(grid), grid, Policy(), max_trace=8)
+        endings = set()
+        for seed in range(40):
+            status, trace, record = runtime.run_episode(seed)
+            replay = MissionRunner(runtime.tree)
+            claims = [replay.tick_once(state) and replay.pending for state in trace]
+            assert len(record.pairs) == sum(node is not None for node in claims)
+            endings.add("Fire" if trace[-1]["Fire"] else len(trace))
+        assert {"Fire", 8} <= endings
 
     def test_runner_success_exactly_when_post_holds(self):
         # the node keeps no clock: only the trace bound ends a run

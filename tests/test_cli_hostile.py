@@ -9,8 +9,7 @@ full valid policy for ``infer`` and a sweep config of known keys only,
 so that every subcommand reaches success as well as a typed error.
 Each case runs ``cli.main`` in-process.  No exception may escape, the
 exit code must be 0, 1 or 2, exit 1 must come with exactly one
-``error:`` line, which names no compiler parameter such as
-``t_task_max`` where a flag was at fault, and each subcommand must exit both 0 and 1 somewhere
+``error:`` line, and each subcommand must exit both 0 and 1 somewhere
 in the run.  A generated sweep crosses one cell at most, of at most
 three trials, and a generated ``learn`` does one run per ``p_in`` of at
 most two episodes and two inference trials.
@@ -210,7 +209,7 @@ def test_hostile_cli_input_exits_cleanly(tmp_path, monkeypatch):
         error_lines = [line for line in err.splitlines() if line.startswith("error:")]
         if code not in (0, 1, 2):
             faults.append((argv, repr(code)))
-        elif code == 1 and (len(error_lines) != 1 or "t_task_max" in err):
+        elif code == 1 and len(error_lines) != 1:
             faults.append((argv, err))
     assert not faults, "\n".join(f"{argv}: {what}" for argv, what in faults)
     # the grammar reaches both outcomes of every subcommand

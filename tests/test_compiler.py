@@ -179,7 +179,7 @@ def action_nodes(tree):
 
 class TestActionNodes:
     def test_choose_map_reaches_its_action_only(self):
-        def go(state, rng):
+        def go(state):
             return "go"
 
         expr = parse_mission("& task(a, post=Cheese) task(b, post=Home)", GRID)
@@ -200,7 +200,7 @@ class TestActionNodes:
             [("m", ltlf.Atom("P"))] * 2
 
     @pytest.mark.parametrize("scenario", ["c2h", "keydoor"])
-    def test_compiled_action_carries_its_task(self, scenario, monkeypatch):
+    def test_compiled_action_carries_its_task(self, scenario):
         if scenario == "c2h":
             grid = GridConfig(p_in=0.8)
             expr = build_c2h(grid)
@@ -216,8 +216,6 @@ class TestActionNodes:
             spec = specs[node.binding]
             assert node.postcondition == spec.poc
             assert node.choose is not None
-            # a chooser reads its episode's world; the status never does
-            monkeypatch.setattr(node, "choose", None)
             for row in itertools.product((False, True), repeat=len(atoms)):
                 state = dict(zip(atoms, row))
                 runner = MissionRunner(node)
@@ -356,21 +354,18 @@ class TestFlatTemplateRunsAsThePapers:
 
 
 class TestSnapshotIsTheWholeMemory:
-    """A tick's outcome is a function of the runner's memory, the state
-    and the choosers' draws, and ``snapshot`` holds all of that memory:
-    a fresh runner restored from a run's snapshot, on the run's random
-    source, ticks the rest of the stream as the run does.  So a tree is
-    a finite machine over ``(snapshot, state)``."""
+    """A tick's outcome is a function of the runner's memory and the
+    state, and ``snapshot`` holds all of that memory: a fresh runner
+    restored from a run's snapshot ticks the rest of the stream as the
+    run does, choosers attached.  So a tree is a finite machine over
+    ``(snapshot, state)``."""
 
     @staticmethod
     def trees():
         for expr, theta in fuzz_corpus():
             yield compile_mission(expr, MissionConfig(theta=theta)), sorted(FUZZ_ATOMS)
-        # choosers that draw on the run's rng, so ``pending`` moves too
-        draw = lambda state, rng: rng.randrange(4)
-        c2h = build_c2h()
-        yield (compile_mission(c2h, CFG, choose={t.action: draw for t in tasks_of(c2h)}),
-               sorted(GRID))
+        # the learner's choosers, which no tick calls, so ``pending`` moves too
+        yield C2hRuntime(build_c2h(), GridConfig(), Policy(), 50).tree, sorted(GRID)
         yield _bt_mission(1)[0], sorted(KEYDOOR_ATOMS)
 
     def test_a_restored_runner_ticks_alike(self):
@@ -379,12 +374,11 @@ class TestSnapshotIsTheWholeMemory:
                 values = random.Random(seed)
                 stream = [{a: values.random() < 0.5 for a in atoms} for _ in range(12)]
                 split = 3 if seed % 2 else 6
-                run = MissionRunner(tree, rng=random.Random(-seed))
+                run = MissionRunner(tree)
                 for state in stream[:split]:
                     run.tick_once(state)
                 copy = MissionRunner(tree)
                 copy.restore(run.snapshot())
-                copy.rng.setstate(run.rng.getstate())
                 for state in stream[split:]:
                     assert ((run.tick_once(state), run.snapshot(), run.pending)
                             == (copy.tick_once(state), copy.snapshot(), copy.pending))

@@ -5,8 +5,9 @@ parser nesting, and tree nodes hold no run state.
 It owns the parser cursor, and no other module reads or writes a
 ``depth`` or ``parens`` attribute: the nesting limit is decided in one
 place.
-The tick engine ``ppabt.bt`` reads formulas through ``ltlf`` alone and
-knows nothing of the mission language.  No ``tick`` method in
+The tick engine ``ppabt.bt`` reads formulas through ``ltlf`` alone,
+knows nothing of the mission language and imports no ``random``: only
+choosers draw, and the run loop calls them.  No ``tick`` method in
 ``ppabt.bt`` assigns to an attribute of ``self``: a run's memory lives
 in its ``MissionRunner``, so one tree serves any number of runs, and
 no other module reads or writes a runner's ``latched`` or ``resets``:
@@ -54,6 +55,25 @@ def test_the_scanner_sees_every_import_form(tmp_path):
 @pytest.mark.parametrize("module, allowed", [("ltlf", set()), ("bt", {"ltlf"})])
 def test_layer_imports_only_below_it(module, allowed):
     assert ppabt_imports(SRC / f"{module}.py") <= allowed
+
+
+def absolute_imports(path: Path) -> set[str]:
+    """Top-level names of the modules that the source file imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_engine_holds_no_random_source(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os.path, json\nfrom random import Random\nfrom . import bt\n\n"
+                     "def f():\n    import secrets\n")
+    assert absolute_imports(probe) == {"os", "json", "random", "secrets"}
+    assert "random" not in absolute_imports(SRC / "bt.py")
 
 
 NESTING_COUNTS = {"depth", "parens"}

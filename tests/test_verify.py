@@ -8,11 +8,13 @@ from helpers import (
 )
 from ppabt import bt, ltlf, mission as ms
 from ppabt.compiler import bind_scripted, compile_mission, inline_actions
+from ppabt.gridworld import GridConfig
 from ppabt.ltlf import Atom, Trace
 from ppabt.mission import MissionConfig, expand_mission, ppa_task
-from ppabt.missions import C2H_TEXT
+from ppabt.missions import C2H_TEXT, build_c2h
+from ppabt.planners import C2hRuntime, Policy
 from ppabt.verify import (
-    FUZZ_ATOMS, MAX_FUZZ_TASKS, BoundTooLarge, UnscriptedAction, audit_trace,
+    FUZZ_ATOMS, MAX_FUZZ_TASKS, BoundTooLarge, audit_trace,
     check_inclusion, check_mission, evaluate_reference, fuzz_corpus_report,
     random_sound_mission, strip_conditions,
 )
@@ -190,14 +192,23 @@ class TestCheckInclusion:
         assert report.n_bt_success_traces == 253
         assert report.n_violations == 0
 
-    def test_action_with_a_chooser_is_refused(self):
+    def test_a_tree_with_choosers_checks_as_scripted(self):
+        # the learner's own tree: no tick calls a chooser, so none records a pair
+        grid = GridConfig()
+        expr = build_c2h(grid)
+        runtime = C2hRuntime(expr, grid, Policy(), 50)
+        scripted = compile_mission(expr, MissionConfig(theta=0))
+        report = check_inclusion(runtime.tree, expand_mission(expr), C2H_ATOMS, bound=4)
+        assert report == check_inclusion(scripted, expand_mission(expr), C2H_ATOMS, bound=4)
+        assert (report.n_bt_success_traces, report.n_violations) == (49, 0)
+        assert runtime.pairs == []
         expr = single_task_mission()
         tree = compile_mission(expr, MissionConfig(theta=1),
-                               choose={"t": lambda state, rng: None})
-        with pytest.raises(UnscriptedAction):
-            check_inclusion(tree, expand_mission(expr), ABC, bound=3)
+                               choose={"t": lambda state: None})
+        report = check_inclusion(tree, expand_mission(expr), ABC, bound=3)
         bind_scripted(tree, expr, None)
-        assert check_inclusion(tree, expand_mission(expr), ABC, bound=3).n_violations == 0
+        assert report == check_inclusion(tree, expand_mission(expr), ABC, bound=3)
+        assert report.n_violations == 0
 
     def test_report_serialization(self):
         report = check_mission(single_task_mission(), ABC, bound=3)
