@@ -274,72 +274,77 @@ class Progression:
     This makes a residual a sound merge key; verdicts still come from
     ``evaluate``.
 
-    The formula is put in negation normal form, with the weak next ``N``
-    (true at the last state) dual to ``X`` and release ``R`` dual to
-    ``U``.  Nodes are hash-consed to ints: a literal, a temporal operator
-    over node ids, or an n-ary ``and``/``or`` whose operands are folded
-    against the constants, flattened and deduplicated.  A residual is such
-    a node.  ``step`` is memoized on the residual and the values of the
-    formula's atoms, and recursion follows the node's depth.
+    A residual is a reduced ordered BDD (Bryant, IEEE Trans. Computers
+    1986) over the atoms and temporal subformulas, hash-consed to an int:
+    one Boolean function of those obligations, so it needs no normal form.
+    A rest that goes on satisfies ``X f`` exactly when its own rest
+    satisfies ``f``, so a step commutes with negation; it puts for each
+    variable the atom's value, ``f`` for ``X f``, or the unrolling of
+    ``F``, ``G`` or ``U`` over the variable.  It makes no variable, so a
+    formula has finitely many residuals and a search keyed on them
+    saturates.  Recursion follows the variables, never the trace.
     """
 
     TRUE, FALSE = 0, 1
 
     def __init__(self, formula: Formula):
         self.atoms = tuple(sorted(atoms_of(formula) - {"True", "False"}))
-        self._ids: dict[tuple, int] = {}
-        self._nodes: list[tuple] = []
-        self._memo: dict[tuple[int, tuple[bool, ...]], int] = {}
-        self._node("true")
-        self._node("false")
-        index = {name: i for i, name in enumerate(self.atoms)}
-        self.start = self._nnf(formula, True, index, {})
+        # A node is (variable, low, high), the leaves' variable ordered
+        # last.  Atom i is variable i - len(atoms), ordered first and read
+        # as values[var]; a temporal one is numbered when it is made.
+        self._nodes: list[tuple] = [(float("inf"), 0, 0), (float("inf"), 1, 1)]
+        self._vars: dict[int, tuple] = {}  # (operator class, *operands, own node)
+        self._ids: dict[tuple, int] = {}  # variables and nodes, interned
+        self._memo: dict[tuple, int] = {}  # ite's (f, g, h), step's (node, values)
+        memo = {"True": self.TRUE, "False": self.FALSE}  # atoms by name, others by id
+        for var, name in enumerate(self.atoms, -len(self.atoms)):
+            memo[name] = self._node(var, self.FALSE, self.TRUE)
+        self.start = self._bdd(formula, memo)
 
-    def _node(self, *node) -> int:
-        n = self._ids.get(node)
+    def _node(self, var: int, low: int, high: int) -> int:
+        key = (var, low, high)
+        n = self._ids.get(key)
         if n is None:
-            n = self._ids[node] = len(self._nodes)
-            self._nodes.append(node)
+            n = self._ids[key] = len(self._nodes)
+            self._nodes.append(key)
         return n
 
-    def _junction(self, op: str, parts) -> int:
-        """``and``/``or`` over node ids, with constants folded, nested nodes
-        of the same op flattened into this one and duplicates dropped."""
-        unit, zero = (self.TRUE, self.FALSE) if op == "and" else (self.FALSE, self.TRUE)
-        operands = set()
-        for n in parts:
-            if n == zero:
-                return zero
-            node = self._nodes[n]
-            if node[0] == op:
-                operands.update(node[1:])
-            elif n != unit:
-                operands.add(n)
-        if len(operands) <= 1:
-            return operands.pop() if operands else unit
-        return self._node(op, *sorted(operands))
+    def _ite(self, f: int, g: int, h: int) -> int:
+        """The node of "if ``f`` then ``g`` else ``h``"."""
+        if f < 2 or g == h:
+            return h if f == self.FALSE else g
+        key = (f, g, h)
+        n = self._memo.get(key)
+        if n is None:
+            nodes = self._nodes
+            var = min(nodes[f][0], nodes[g][0], nodes[h][0])
+            # a node below the top variable is its own cofactor on both sides
+            (f0, f1), (g0, g1), (h0, h1) = [
+                nodes[x][1:] if nodes[x][0] == var else (x, x) for x in key]
+            low, high = self._ite(f0, g0, h0), self._ite(f1, g1, h1)
+            n = self._memo[key] = low if low == high else self._node(var, low, high)
+        return n
 
-    # each operator's NNF op, and the op its negation takes
-    _OPS = {And: ("and", "or"), Or: ("or", "and"), Next: ("X", "N"),
-            Finally: ("F", "G"), Globally: ("G", "F"), Until: ("U", "R")}
-
-    def _nnf(self, f: Formula, positive: bool, index: dict[str, int], memo: dict) -> int:
-        key = (id(f), positive)
+    def _bdd(self, f: Formula, memo: dict) -> int:
+        cls = type(f)
+        key = f.name if cls is Atom else id(f)
         n = memo.get(key)
         if n is not None:
             return n
-        cls = type(f)
+        args = [self._bdd(arg, memo) for arg in f.args]
         if cls is Not:
-            n = self._nnf(f.child, not positive, index, memo)
-        elif cls is Atom:
-            if f.name in ("True", "False"):
-                n = self.TRUE if (f.name == "True") == positive else self.FALSE
-            else:
-                n = self._node("lit", index[f.name], positive)
-        elif cls in self._OPS:
-            op = self._OPS[cls][0 if positive else 1]
-            args = [self._nnf(arg, positive, index, memo) for arg in f.args]
-            n = self._junction(op, args) if op in ("and", "or") else self._node(op, *args)
+            n = self._ite(args[0], self.FALSE, self.TRUE)
+        elif cls is And:
+            n = self._ite(*args, self.FALSE)
+        elif cls is Or:
+            n = self._ite(args[0], self.TRUE, args[1])
+        elif cls in TEMPORAL_OPS:
+            # F f and G f as left U right: they unroll as True U f and f U False
+            pads = {Finally: [self.TRUE, *args], Globally: [*args, self.FALSE]}
+            var = (cls, *pads.get(cls, args))
+            number = self._ids.setdefault(var, len(self._ids))
+            n = self._node(number, self.FALSE, self.TRUE)
+            self._vars[number] = (*var, n)
         else:
             raise TypeError(f"not a formula: {f!r}")
         memo[key] = n
@@ -354,30 +359,23 @@ class Progression:
         return self._step(residual, values)
 
     def _step(self, n: int, values: tuple[bool, ...]) -> int:
+        if n < 2:
+            return n
         key = (n, values)
         result = self._memo.get(key)
         if result is not None:
             return result
-        node = self._nodes[n]
-        op = node[0]
-        if op in ("true", "false"):
-            result = n
-        elif op == "lit":
-            result = self.TRUE if values[node[1]] == node[2] else self.FALSE
-        elif op in ("X", "N"):
-            result = node[1]
+        var, low, high = self._nodes[n]
+        if var < 0:  # an atom: only one branch is read
+            result = self._step(high if values[var] else low, values)
         else:
-            now = [self._step(arg, values) for arg in node[1:]]
-            if op in ("and", "or"):
-                result = self._junction(op, now)
-            elif op == "F":
-                result = self._junction("or", [now[0], n])
-            elif op == "G":
-                result = self._junction("and", [now[0], n])
-            elif op == "U":
-                result = self._junction("or", [now[1], self._junction("and", [now[0], n])])
-            else:  # R
-                result = self._junction("and", [now[1], self._junction("or", [now[0], n])])
+            op, *args, itself = self._vars[var]
+            if op is Next:
+                now = args[0]
+            else:  # left U right: right now, or left now and the variable again
+                again = self._ite(self._step(args[0], values), itself, self.FALSE)
+                now = self._ite(self._step(args[1], values), self.TRUE, again)
+            result = self._ite(now, self._step(high, values), self._step(low, values))
         self._memo[key] = result
         return result
 

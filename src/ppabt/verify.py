@@ -8,10 +8,10 @@ chooser is called) and audits every successful run, each reserved
 action proposition read as its task's postcondition.  It is bounded
 model checking (Biere et al., TACAS 1999) with formula progression in
 place of an automaton: one layer per tick, where the streams that
-reach the same tree memory and formula residual are merged and counted
-by multiplicity, so each class ticks once per valuation and audits one
-witness.  The counts are those of ticking and auditing every stream on
-its own.
+reach the same tree memory and canonical formula residual are merged
+and counted by multiplicity, so each class ticks once per valuation and
+audits one witness, and the classes per layer stay bounded at any bound.
+The counts are those of ticking and auditing every stream on its own.
 
 ``evaluate_reference`` is a second, deliberately naive evaluator written
 straight from the satisfaction relation with explicit quantifier loops
@@ -148,8 +148,9 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
     and the first of them found, the witness.  A tick reads only the
     tree's memory and the state, and the residual settles the verdict
     of every continuation; so the streams of one key tick alike and
-    their audits agree.  Counterexamples come out shortest first, one
-    per class.
+    their audits agree.  Residuals are canonical (``ltlf.Progression``):
+    prefixes that leave one obligation share a key, however reached.
+    Counterexamples come out shortest first, one per class.
     """
     names = _guard(alphabet, bound)
     formula = inline_actions(formula, tree)

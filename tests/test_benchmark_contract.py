@@ -149,6 +149,6 @@ def test_tree_ticks_of_verifying_the_corpus(spans):
     workloads = perfbench_module("workloads")
     pool = workloads.verify_pool()
     node_ticks, tree_ticks = spans.count_node_ticks(lambda: [op.run() for op in pool])
-    assert tree_ticks == 37_536
+    assert tree_ticks == 18_928
     lead_ticks = spans.count_node_ticks(workloads.C2H_OP.run)[1]
-    assert lead_ticks == 512
+    assert lead_ticks == 480

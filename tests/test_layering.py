@@ -1,5 +1,6 @@
 """The lower layers of ppabt import downwards only, only ``ltlf`` counts
-parser nesting, and tree nodes hold no run state.
+parser nesting, tree nodes hold no run state, and only ``verify`` keys
+on formula progression.
 
 ``ppabt.ltlf`` is the formula layer and imports no other ppabt module.
 It owns the parser cursor, and no other module reads or writes a
@@ -11,9 +12,10 @@ choosers draw, and the run loop calls them.  No ``tick`` method in
 ``ppabt.bt`` assigns to an attribute of ``self``: a run's memory lives
 in its ``MissionRunner``, so one tree serves any number of runs, and
 no other module reads or writes a runner's ``latched`` or ``resets``:
-the memory's encoding, ``snapshot``, is decided in ``bt`` alone.  The
-checks read the source with ``ast``, so an import inside a function
-counts as well.
+the memory's encoding, ``snapshot``, is decided in ``bt`` alone.  Only
+``ppabt.verify`` names ``ltlf.Progression``: progression is the
+inclusion checker's merge key, never another evaluator.  The checks read
+the source with ``ast``, so an import inside a function counts as well.
 """
 
 import ast
@@ -104,6 +106,36 @@ def test_only_ltlf_counts_nesting():
     users = {path.stem: lines for path in SRC.glob("*.py")
              if (lines := attribute_uses(path, NESTING_COUNTS))}
     assert set(users) == {"ltlf"}, f"nesting counts used outside ltlf: {users}"
+
+
+def name_uses(path: Path, names: set[str]) -> list[int]:
+    """Lines where the file names one of ``names``: as a variable, as an
+    attribute of any object, in an import, or as a whole string."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Name) and node.id in names
+                  or isinstance(node, ast.Attribute) and node.attr in names
+                  or isinstance(node, ast.alias) and node.name in names
+                  or isinstance(node, ast.Constant) and node.value in names)
+
+
+def test_the_name_scan_sees_every_use(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .ltlf import Progression as P\n"
+        "p = ltlf.Progression(f)\n"
+        "q = Progression\n"
+        "r = getattr(ltlf, 'Progression')\n"
+        "Progression = None\n"
+        "s = x.Progressions + 'a Progression key'\n"
+        "class Progression2:\n"
+        "    pass\n")
+    assert name_uses(probe, {"Progression"}) == [1, 2, 3, 4, 5]
+
+
+def test_only_verify_keys_on_progression():
+    users = {path.stem: lines for path in SRC.glob("*.py")
+             if (lines := name_uses(path, {"Progression"}))}
+    assert set(users) - {"ltlf"} == {"verify"}, f"Progression named outside verify: {users}"
 
 
 def test_only_bt_touches_a_runners_memory():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -295,11 +296,22 @@ class TestNesting:
         lambda n: "! " * n + "a",
         lambda n: "U " * n + "a" + " a" * n,
         lambda n: "(" * n + "a" + ")" * n,
-    ], ids=["not-chain", "until-chain", "parentheses"])
+        lambda n: "X " * n + "a",
+        lambda n: "F " * n + "a",
+        lambda n: "G " * n + "a",
+    ], ids=["not-chain", "until-chain", "parentheses", "next-chain", "finally-chain",
+            "globally-chain"])
     def test_nesting_limit_is_exact(self, make):
         f = parse_ltlf(make(MAX_NESTING), AB)
         assert parse_ltlf(format_formula(f), AB) == f
         assert evaluate(f, trace_of(AB, {"a": True})) in (True, False)
+        # progression recurses over the formula's variables, never the trace
+        with recursion_limit(1000):
+            progression = Progression(f)
+            residual = progression.start
+            for i in range(8):
+                state = {"a": i % 2 == 0, "b": i % 4 < 2, "c": False}
+                residual = progression.step(residual, state)
         with pytest.raises(ParseError):
             parse_ltlf(make(MAX_NESTING + 1), AB)
 
@@ -331,6 +343,39 @@ class TestProgression:
                                 for p in prefixes}
                     assert len(verdicts) == 1, (formula, prefixes, suffix)
         assert merged > 3000
+
+    @pytest.mark.parametrize("text, atoms, residuals, last_new", [
+        ("U (F a) (F (& b (G c)))", ["a", "b", "c"], 5, 1),
+        # F (& t1 t2) expanded, with each task's post, pre, gc and tc its
+        # own atom and its action atom read as its postcondition
+        ("F (& (| (& (G gc1) post1) (& (& (G gc1) (F pre1)) (U tc1 (& post1 (G gc1)))))"
+         " (| (& (G gc2) post2) (& (& (G gc2) (F pre2)) (U tc2 (& post2 (G gc2))))))",
+         [f"{cond}{i}" for cond in ("post", "pre", "gc", "tc") for i in (1, 2)], 19, 4),
+    ], ids=["until", "two-tasks"])
+    def test_residuals_saturate(self, text, atoms, residuals, last_new):
+        # one int per Boolean function of finitely many obligations, so a
+        # search over every state stops finding new residuals
+        progression = Progression(parse_ltlf(text, set(atoms)))
+        states = [dict(zip(atoms, row))
+                  for row in itertools.product((False, True), repeat=len(atoms))]
+        seen = layer = {progression.start}
+        for depth in range(1, last_new + 6):
+            layer = {progression.step(residual, state)
+                     for residual in layer for state in states}
+            new = layer - seen
+            seen = seen | new
+            assert len(seen) <= residuals, depth
+            assert depth <= last_new or not new, depth
+        assert len(seen) == residuals
+
+    def test_one_obligation_is_one_residual(self):
+        # both branches leave F b | (F c & G c), nested differently
+        formula = parse_ltlf("| (& a (X (& (| (F b) (F c)) (| (F b) (G c)))))"
+                             " (& (! a) (X (| (F b) (& (F c) (G c)))))", AB)
+        progression = Progression(formula)
+        after = {progression.step(progression.start, {"a": a, "b": False, "c": False})
+                 for a in (True, False)}
+        assert len(after) == 1
 
     def test_weak_and_strong_next_stay_apart(self):
         # after a: X b, false on a one-state rest; after !a: N b, true there

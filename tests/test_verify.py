@@ -186,9 +186,9 @@ class TestCheckInclusion:
         expr = ms.parse_mission(C2H_TEXT, C2H_ATOMS)
         report = check_mission(expr, C2H_ATOMS, bound=4)
         # each distinct key (the start's included) is restored once per
-        # valuation: 36 keys x 8, not once per explored prefix (168 x 8);
+        # valuation: 29 keys x 8, not once per explored prefix (168 x 8);
         # the key is the snapshot, taken at the start and per Running tick
-        assert calls == {"snapshot": 86, "restore": 288}
+        assert calls == {"snapshot": 79, "restore": 232}
         assert report.n_bt_success_traces == 253
         assert report.n_violations == 0
 
