@@ -28,7 +28,7 @@ from .planners import (
     LearnerConfig, Policy, SoundnessViolation, evaluate_policy, learn,
     plan_grid_policies,
 )
-from .verify import BoundTooLarge, check_mission, fuzz_corpus_report
+from .verify import MAX_WORK, BoundTooLarge, check_mission, fuzz_corpus_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -269,8 +269,7 @@ def cmd_infer(args) -> int:
 def cmd_verify(args) -> int:
     if args.mission:
         expr, alphabet = _load_mission(args)
-        report = check_mission(expr, alphabet, bound=args.bound,
-                               theta=args.theta)
+        report = check_mission(expr, alphabet, bound=args.bound, theta=args.theta)
         data = report.to_json()
         violations = report.n_violations
         if violations and args.out:
@@ -361,7 +360,8 @@ def build_parser() -> _Parser:
     common(p, mission=False, seed_help="fuzzed corpus seed; only without --mission")
     p.add_argument("--missions", type=non_negative_int, default=50,
                    help="fuzzed corpus size; only without --mission")
-    p.add_argument("--bound", type=positive_int, default=5)
+    p.add_argument("--bound", type=positive_int, default=5,
+                   help=f"longest stream; exit 1 past {MAX_WORK:,} ticks and audited states")
     p.add_argument("--theta", type=non_negative_int, default=1,
                    help="Finally retry budget; only with --mission")
     p.set_defaults(fn=cmd_verify)

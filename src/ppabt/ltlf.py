@@ -282,7 +282,8 @@ class Progression:
     variable the atom's value, ``f`` for ``X f``, or the unrolling of
     ``F``, ``G`` or ``U`` over the variable.  It makes no variable, so a
     formula has finitely many residuals and a search keyed on them
-    saturates.  Recursion follows the variables, never the trace.
+    saturates.  Recursion follows the variables, never the trace; a
+    formula too wide for the interpreter's stack raises ``LtlfError``.
     """
 
     TRUE, FALSE = 0, 1
@@ -299,7 +300,14 @@ class Progression:
         memo = {"True": self.TRUE, "False": self.FALSE}  # atoms by name, others by id
         for var, name in enumerate(self.atoms, -len(self.atoms)):
             memo[name] = self._node(var, self.FALSE, self.TRUE)
-        self.start = self._bdd(formula, memo)
+        try:
+            self.start = self._bdd(formula, memo)
+        except RecursionError:  # ite memoizes and interns only finished nodes
+            raise self._too_wide() from None
+
+    def _too_wide(self) -> LtlfError:
+        return LtlfError(f"formula too wide to progress: {len(self._vars)}+ "
+                         "temporal subformulas")
 
     def _node(self, var: int, low: int, high: int) -> int:
         key = (var, low, high)
@@ -356,7 +364,10 @@ class Progression:
             values = tuple([state[name] for name in self.atoms])
         except KeyError as missing:
             raise UnknownAtom(missing.args[0]) from None
-        return self._step(residual, values)
+        try:
+            return self._step(residual, values)
+        except RecursionError:
+            raise self._too_wide() from None
 
     def _step(self, n: int, values: tuple[bool, ...]) -> int:
         if n < 2:

@@ -7,11 +7,11 @@ drives a tree through every proposition stream up to a length bound
 chooser is called) and audits every successful run, each reserved
 action proposition read as its task's postcondition.  It is bounded
 model checking (Biere et al., TACAS 1999) with formula progression in
-place of an automaton: one layer per tick, where the streams that
-reach the same tree memory and canonical formula residual are merged
-and counted by multiplicity, so each class ticks once per valuation and
-audits one witness, and the classes per layer stay bounded at any bound.
-The counts are those of ticking and auditing every stream on its own.
+place of an automaton: one layer per tick, where the streams that reach
+one tree memory and canonical residual merge, counted by multiplicity,
+so each class ticks once per valuation and audits one witness, and the
+counts are those of every stream ticked and audited alone.  A check
+stops with ``BoundTooLarge`` before its work passes ``MAX_WORK``.
 
 ``evaluate_reference`` is a second, deliberately naive evaluator written
 straight from the satisfaction relation with explicit quantifier loops
@@ -45,13 +45,15 @@ from .ltlf import Atom, Formula, Trace, evaluate
 
 # counterexample traces an InclusionReport keeps; all are counted
 MAX_COUNTEREXAMPLES = 25
+# tree ticks plus audited witness states that one check_inclusion may spend
+MAX_WORK = 2_000_000
 # most tasks in one fuzzed mission, and the atoms of the fuzzed corpus
 MAX_FUZZ_TASKS = 3
 FUZZ_ATOMS = ("a", "b", "c")
 
 
 class BoundTooLarge(Exception):
-    pass
+    """A check's next layer would take its work past ``MAX_WORK``."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +100,7 @@ def evaluate_reference(formula: Formula, trace: Trace, index: int = 0) -> bool:
 
 def audit_trace(formula: Formula, trace: Trace, status: bt.Status) -> bool:
     """Success must imply satisfaction; failed runs carry no obligation."""
-    if status is bt.SUCCESS:
-        return evaluate(formula, trace, 0)
-    return True
-
-
-def _guard(alphabet, max_len: int) -> list[str]:
-    names = sorted(alphabet)
-    if len(names) > 5 or max_len > 6:
-        raise BoundTooLarge(
-            f"{len(names)} atoms x length {max_len} is past the enumeration guard")
-    return names
+    return status is not bt.SUCCESS or evaluate(formula, trace, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +144,23 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
     prefixes that leave one obligation share a key, however reached.
     Counterexamples come out shortest first, one per class.
     """
-    names = _guard(alphabet, bound)
+    names = sorted(alphabet)
     formula = inline_actions(formula, tree)
-    valuations = [dict(zip(names, row))
-                  for row in itertools.product((False, True), repeat=len(names))]
     report = InclusionReport(bound=bound, alphabet_size=len(names))
     runner = bt.MissionRunner(tree)
     trace_alpha = frozenset(names)
     progression = ltlf.Progression(formula)
     layer = {(runner.snapshot(), progression.start): [1, ()]}
+    work = 0  # ticks, keys x valuations a layer, plus the states audits read
     for depth in range(bound):
+        work += len(layer) << len(names)
+        if work > MAX_WORK:
+            raise BoundTooLarge(
+                f"stopped at tick {depth + 1} of {bound} over {len(names)} atoms: "
+                f"past the limit of {MAX_WORK:,} tree ticks and audited states")
+        if not depth:  # only once the first layer fits
+            valuations = [dict(zip(names, row)) for row in
+                          itertools.product((False, True), repeat=len(names))]
         following = {}
         for (memory, residual), (count, prefix) in layer.items():
             for valuation in valuations:
@@ -169,6 +168,7 @@ def check_inclusion(tree: bt.BtNode, formula: Formula, alphabet,
                 status = runner.tick_once(valuation)
                 if status is bt.SUCCESS:
                     report.n_bt_success_traces += count
+                    work += depth + 1
                     # the valuations are shared by every stream, only read
                     states = [*prefix, valuation]
                     if not evaluate(formula, Trace(states, trace_alpha), 0):

@@ -15,7 +15,7 @@ from ppabt.bt import (
 )
 from ppabt.compiler import inline_actions
 from ppabt.mission import Task, ppa_task
-from ppabt.verify import MAX_COUNTEREXAMPLES, InclusionReport, _guard
+from ppabt.verify import MAX_COUNTEREXAMPLES, BoundTooLarge, InclusionReport
 
 
 def trace_of(alphabet, *rows):
@@ -152,13 +152,23 @@ def derive_task_literal(rng, counter, alphabet):
 # ---------------------------------------------------------------------------
 # Language enumeration and a mission outside the sound fragment
 
+def enumeration_guard(alphabet, max_len):
+    """The sorted atoms, when the traces up to ``max_len`` over them are
+    few enough to visit one by one: at most 5 atoms and length 6."""
+    names = sorted(alphabet)
+    if len(names) > 5 or max_len > 6:
+        raise BoundTooLarge(
+            f"{len(names)} atoms x length {max_len} is past the enumeration guard")
+    return names
+
+
 def enumerate_language(formula, alphabet, max_len, evaluator=ltlf.evaluate):
     """All traces over the alphabet, length 1..max_len, satisfying the formula.
 
     Traces are returned as tuples of valuation tuples in sorted-atom
     order.  Guarded to |alphabet| <= 5 and max_len <= 6.
     """
-    names = _guard(alphabet, max_len)
+    names = enumeration_guard(alphabet, max_len)
     alpha = frozenset(names)
     rows = list(itertools.product((False, True), repeat=len(names)))
     found = set()
@@ -210,7 +220,7 @@ def check_streams(tree, formula, alphabet, bound):
     """``verify.check_inclusion``'s report, found depth first with no
     merging: one tick per stream prefix and one audit per successful
     stream.  Counterexamples come in the streams' lexicographic order."""
-    names = _guard(alphabet, bound)
+    names = enumeration_guard(alphabet, bound)
     formula = inline_actions(formula, tree)
     valuations = [dict(zip(names, row))
                   for row in itertools.product((False, True), repeat=len(names))]

@@ -1,12 +1,18 @@
 import csv
+import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import counterexample_mission
-from ppabt import planners
+from helpers import counterexample_mission, recursion_limit
+from ppabt import planners, verify
 from ppabt.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from ppabt.mission import render_mission
+
+
+KEYDOOR_ATOMS = ["NoErr", "KeyStacked", "IsKeyDoor", "VisibleKeyDoor", "KeyDoorPassive",
+                 "PrizePassive", "PrizeVisible"]
 
 
 def read_csv(path):
@@ -303,13 +309,51 @@ class TestVerifyKeydoor:
         report = json.loads(capsys.readouterr().out)
         assert report["n_violations"] == 0 and report["n_bt_success_traces"] > 0
 
-    @pytest.mark.parametrize("alphabet", [[], ["--alphabet", (
-        "NoErr,KeyStacked,IsKeyDoor,VisibleKeyDoor,KeyDoorPassive,PrizePassive,"
-        "PrizeVisible")]], ids=["inferred", "given"])
-    def test_verify_past_enumeration_guard_is_usage_error(self, capsys, alphabet):
+    @pytest.mark.parametrize("argv, max_work, stop", [
+        (["--mission", "missions/keydoor.mission", "--alphabet",
+          ",".join([*KEYDOOR_ATOMS, *(f"x{i}" for i in range(14))])],
+         1_000, "stopped at tick 1 of 5 over 21 atoms: past the limit of 1,000 "),
+        (["--mission", "missions/c2h.mission", "--alphabet", "Cheese,Fire,Home",
+          "--bound", "1000"],
+         10_000, "stopped at tick 24 of 1000 over 3 atoms: past the limit of 10,000 "),
+    ], ids=["wide_alphabet", "long_bound"])
+    def test_verify_past_work_limit_is_usage_error(self, capsys, monkeypatch, argv,
+                                                   max_work, stop):
+        # a low limit keeps a regressed check small, and no list of 2**21
+        # valuations may be built before the first layer is refused
+        def product(*rows, repeat):
+            assert repeat <= 20, "valuations built before the first layer was checked"
+            return itertools.product(*rows, repeat=repeat)
+
+        monkeypatch.setattr(verify, "MAX_WORK", max_work)
+        monkeypatch.setattr(verify, "itertools", SimpleNamespace(product=product))
+        assert main(["verify", *argv]) == EXIT_USAGE
+        assert_single_error_line(capsys, stop)
+
+    def test_verify_too_wide_a_mission_is_usage_error(self, tmp_path, capsys):
+        # 512 tasks with distinct conditions over 5 atoms: progression's
+        # recursion passes the limit that parsing and compiling stay under
+        cubes = [" & ".join(a if i >> k & 1 else f"!{a}" for k, a in enumerate("abcde"))
+                 for i in range(32)]
+        tasks = [f"F (task(t{i}, post={cubes[i % 32]}, gc={cubes[i // 32]}))"
+                 for i in range(512)]
+        while len(tasks) > 1:
+            tasks = [f"(& {left} {right})" for left, right in zip(tasks[::2], tasks[1::2])]
+        path = tmp_path / "wide.mission"
+        path.write_text(tasks[0] + "\n")
+        mission = ["--mission", str(path), "--alphabet", "a,b,c,d,e"]
+        with recursion_limit(250):
+            assert main(["compile", *mission, "--out", str(tmp_path / "bt.json")]) == EXIT_OK
+            assert main(["verify", *mission, "--bound", "1"]) == EXIT_USAGE
+        assert_single_error_line(capsys, "formula too wide to progress: ")
+
+    def test_verify_keydoor_with_inferred_alphabet(self, capsys):
+        # 10 inferred atoms, 3 of them task names no condition reads
         assert main(["verify", "--mission", "missions/keydoor.mission",
-                     *alphabet]) == EXIT_USAGE
-        assert_single_error_line(capsys, "past the enumeration guard")
+                     "--bound", "3"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert (report["alphabet_size"], report["n_bt_success_traces"],
+                report["n_violations"]) == (10, 54_870_080, 0)
 
     def test_keydoor_report(self, tmp_path):
         out = tmp_path / "kd.json"
@@ -328,6 +372,6 @@ class TestShippedMissions:
             assert json.loads(out.read_text())["kind"] == "sequence"
 
     def test_shipped_keydoor_mission_verifies(self):
-        # 4 user atoms within the guard: restrict to a 2-task slice
+        # c2h over its three world atoms; key-door is the verify_keydoor golden
         assert main(["verify", "--mission", "missions/c2h.mission",
                      "--alphabet", "Cheese,Fire,Home", "--bound", "4"]) == EXIT_OK

@@ -54,6 +54,9 @@ CASES = {
     "verify_fuzz": ["verify", "--missions", "20"],
     "verify_c2h": ["verify", "--mission", str(MISSIONS / "c2h.mission"),
                    "--alphabet", "Cheese,Fire,Home", "--bound", "4"],
+    "verify_keydoor": ["verify", "--mission", str(MISSIONS / "keydoor.mission"),
+                       "--alphabet", "NoErr,KeyStacked,IsKeyDoor,VisibleKeyDoor,"
+                       "KeyDoorPassive,PrizePassive,PrizeVisible"],
     "sweep": ["sweep", "--trials", "3", "--config", "sweep.json"],
     "infer": ["infer", "--policy", "policy.json", "--trials", "20"],
 }

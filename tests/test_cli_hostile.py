@@ -4,7 +4,8 @@ A small grammar builds argv and input files for every subcommand: JSON
 of the wrong type, empty files, non-UTF-8 bytes, a directory where a
 file belongs, missions nested at ``MAX_NESTING`` ± 1, zero and negative
 counts and trace lengths, out-of-range and non-finite numbers, NaN and Infinity policy
-rows, and atoms outside the alphabet.  Legal draws sit among them: a
+rows, atoms outside the alphabet, and a ``verify`` alphabet of 24 names, past
+``verify.MAX_WORK`` before any valuation is built.  Legal draws sit among them: a
 full valid policy for ``infer`` and a sweep config of known keys only,
 so that every subcommand reaches success as well as a typed error.
 Each case runs ``cli.main`` in-process.  No exception may escape, the
@@ -36,6 +37,9 @@ PROBABILITIES = ["-0.5", "0", "0.95", "1", "1.5", "nan", "inf"]
 NAN, INF = float("nan"), float("inf")
 DEPTHS = [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1]
 COMMANDS = ["parse", "compile", "verify", "infer", "sweep", "learn", "keydoor"]
+# 2**24 valuations: verify refuses it at the first layer
+WIDE_ALPHABET = ",".join(["a", "b", "Cheese", "Fire", "Home", "Unicorn", "Zebra",
+                          *(f"x{i}" for i in range(17))])
 
 
 def nested_mission(rng) -> str:
@@ -128,7 +132,8 @@ def build_case(rng, tmp_path, i: int) -> list[str]:
         argv += ["--mission", write_input(rng, tmp_path / f"m{i}.mission",
                                           mission_text(rng))]
     if command in ("parse", "compile", "verify") and rng.random() < 0.4:
-        argv += ["--alphabet", rng.choice(["", ",", "a", "a,b,t", "Cheese,Fire,Home"])]
+        argv += ["--alphabet", rng.choice(["", ",", "a", "a,b,t", "Cheese,Fire,Home",
+                                           WIDE_ALPHABET])]
     if command == "compile":
         argv += ["--theta", rng.choice(COUNTS)]
         if rng.random() < 0.5:
@@ -201,7 +206,7 @@ def run_case(argv) -> tuple[object, str]:
 def test_hostile_cli_input_exits_cleanly(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rng = random.Random(SEED)
-    faults, codes = [], defaultdict(set)
+    faults, codes, refusals = [], defaultdict(set), 0
     for i in range(N_CASES):
         argv = build_case(rng, tmp_path, i)
         code, err = run_case(argv)
@@ -211,7 +216,9 @@ def test_hostile_cli_input_exits_cleanly(tmp_path, monkeypatch):
             faults.append((argv, repr(code)))
         elif code == 1 and len(error_lines) != 1:
             faults.append((argv, err))
+        refusals += "tree ticks and audited states" in err
     assert not faults, "\n".join(f"{argv}: {what}" for argv, what in faults)
     # the grammar reaches both outcomes of every subcommand
     one_sided = [command for command in COMMANDS if not codes[command] >= {0, 1}]
     assert not one_sided, dict(codes)
+    assert refusals

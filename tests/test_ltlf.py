@@ -6,7 +6,7 @@ import pytest
 
 from helpers import formula_from_json, recursion_limit
 from ppabt.ltlf import (
-    MAX_NESTING, And, Atom, Binary, Finally, Globally, Next, Not, Or,
+    MAX_NESTING, And, Atom, Binary, Finally, Globally, LtlfError, Next, Not, Or,
     ParseError, Progression, Trace, TraceIndexError, Unary, Until, UnknownAtom,
     atoms_of, compile_prop, evaluate, format_formula, formula_to_json,
     is_propositional, parse_ltlf,
@@ -319,6 +319,28 @@ class TestNesting:
 class TestProgression:
     STATES = [{"a": a, "b": b, "c": c}
               for a in (False, True) for b in (False, True) for c in (False, True)]
+
+    def test_too_wide_a_formula_is_a_typed_error(self):
+        # a balanced conjunction of F over 600 atoms: each F is a variable,
+        # and building the start and stepping it recurse once per variable
+        def conjoin(parts):
+            half = len(parts) // 2
+            return parts[0] if half == 0 else And(conjoin(parts[:half]), conjoin(parts[half:]))
+
+        names = [f"a{i}" for i in range(600)]
+        formula = conjoin([Finally(Atom(name)) for name in names])
+        progression = Progression(formula)
+        none, every = dict.fromkeys(names, False), dict.fromkeys(names, True)
+        with recursion_limit(200):
+            with pytest.raises(LtlfError, match=r"too wide to progress: 600\+ temporal"):
+                Progression(formula)
+            with pytest.raises(LtlfError, match=r"too wide to progress: 600\+ temporal"):
+                progression.step(progression.start, none)
+        # a refused step leaves no half-built node behind
+        waiting = progression.step(progression.start, none)
+        assert waiting not in (Progression.TRUE, Progression.FALSE)
+        assert progression.step(waiting, every) == Progression.TRUE
+        assert progression.step(progression.start, every) == Progression.TRUE
 
     def test_prefixes_with_one_residual_agree_on_every_suffix(self):
         # the residual is check_inclusion's merge key: two prefixes that
